@@ -13,7 +13,7 @@ from .pareto import (
     dominates,
     hypervolume,
     igd,
-    nondominated_filter,
+    nondominated_points,
     sparsity,
 )
 
@@ -21,7 +21,7 @@ __all__ = [
     "__version__",
     "ParetoArchive",
     "dominates",
-    "nondominated_filter",
+    "nondominated_points",
     "hypervolume",
     "sparsity",
     "cardinality",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from pathlib import Path
 
@@ -34,12 +35,29 @@ ENV_PRESETS: dict[str, dict] = {
 _FLOATS = ("alpha", "gamma", "tau", "eps_initial", "eps_final", "eps_decay_fraction", "weight_step")
 _INTS = ("total_timesteps", "eval_interval", "state_cap", "max_episode_steps", "workers", "max_configs", "seed")
 
+_LIST_OPTIONS = ("--ref", "--ref-point", "--weights")
+
+
+def _join_list_values(argv: list[str]) -> list[str]:
+    """Turn ``--ref -1,-1`` into ``--ref=-1,-1``: argparse would read a
+    value starting with "-" that is not a plain number as an option."""
+    joined: list[str] = []
+    for tok in argv:
+        if joined and joined[-1] in _LIST_OPTIONS and tok.startswith("-"):
+            joined[-1] += "=" + tok
+        else:
+            joined.append(tok)
+    return joined
+
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        values = tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -47,8 +65,10 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            lo, _, hi = part.partition("..")
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split("..", 1))
+            if hi < lo:
+                raise ValueError(f"seed range {part!r} is reversed (write {hi}..{lo})")
+            seeds.extend(range(lo, hi + 1))
         elif part:
             seeds.append(int(part))
     if not seeds:
@@ -145,18 +165,9 @@ def _print_summary(result, run_dir: Path) -> None:
         )
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args)
-    cfg = _sweep_config(settings, single_seed=True)
-    result = run_sweep(cfg)
-    run_dir = write_sweep(result, results_root(args.out))
-    _print_summary(result, run_dir)
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args)
-    cfg = _sweep_config(settings, single_seed=False)
+def cmd_run(args: argparse.Namespace) -> int:
+    """``train`` (one configuration, one seed) or ``sweep``."""
+    cfg = _sweep_config(_resolve_settings(args), single_seed=args.command == "train")
     result = run_sweep(cfg)
     run_dir = write_sweep(result, results_root(args.out))
     _print_summary(result, run_dir)
@@ -166,6 +177,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     front = load_points(args.front)
     ref = _parse_floats(args.ref)
+    if front.points and len(ref) != front.dimension:
+        raise ValueError(f"--ref has {len(ref)} values, the front has {front.dimension} objectives")
     print(f"hypervolume = {fmt(hypervolume(front, ref))}")
     print(f"cardinality = {cardinality(front)}")
     print(f"sparsity = {fmt(sparsity(front))}")
@@ -210,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_agent_options(p_train)
     p_train.add_argument("--weights", help="weight vector for MO Q-Learning, e.g. '0.5,0.5'")
     p_train.add_argument("--seed", type=int, help="run seed (default 42)")
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run the outer-loop protocol over the weight grid")
     _add_agent_options(p_sweep)
@@ -219,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, help="parallel work items")
     p_sweep.add_argument("--archive", action="store_const", const=True, help="cumulative approximation sets")
     p_sweep.add_argument("--max-configs", dest="max_configs", type=int, help="truncate the weight grid")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_run)
 
     p_metrics = sub.add_parser("metrics", help="score a point-set file")
     p_metrics.add_argument("front", help="point-set file to score")
@@ -235,14 +248,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_join_list_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, configparser.Error) as exc:
+    except (ValueError, CapacityError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - unexpected runtime failure

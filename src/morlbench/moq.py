@@ -95,12 +95,6 @@ class VectorQTable:
             self._rows[state] = row
         return row
 
-    def vector(self, state: int, action: int) -> tuple[float, ...]:
-        return tuple(self.row(state)[action])
-
-    def touched_states(self) -> list[int]:
-        return sorted(self._rows)
-
 
 class MoqAgent:
     """One training instance: Q-table, scalariser state, and rng stream."""

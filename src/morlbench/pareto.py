@@ -26,9 +26,7 @@ __all__ = [
     "ParetoArchive",
     "dominates",
     "nondominated_points",
-    "nondominated_filter",
     "hypervolume",
-    "hypervolume_points",
     "hypervolume_inclusion_exclusion",
     "sparsity",
     "cardinality",
@@ -53,7 +51,7 @@ def _as_point(values: Sequence[float]) -> Point:
 class ParetoArchive:
     """A finite, deduplicated set of points in objective space.
 
-    Archives built by :func:`nondominated_filter` (and everything the
+    Archives built from :func:`nondominated_points` (and everything the
     learners produce) are mutually non-dominated. Reference fronts loaded
     from files keep their points verbatim; the indicator functions are well
     defined either way, and dominated members simply contribute no
@@ -84,8 +82,8 @@ class ParetoArchive:
     def __iter__(self):
         return iter(self.points)
 
-    def __contains__(self, point) -> bool:
-        return tuple(point) in set(self.points)
+    def __getitem__(self, index: int) -> Point:
+        return self.points[index]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParetoArchive):
@@ -97,10 +95,6 @@ class ParetoArchive:
 
     def __repr__(self) -> str:
         return f"ParetoArchive({list(self.points)!r})"
-
-    def is_nondominated(self) -> bool:
-        """True when no stored point dominates another."""
-        return len(nondominated_points(self.points)) == len(self.points)
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -139,9 +133,10 @@ def _nd_2d(sorted_pts: list[Point]) -> list[Point]:
 def nondominated_points(points: Iterable[Point]) -> list[Point]:
     """Deduplicate and drop dominated points; returns a sorted list.
 
-    Trusts its input to be well-formed tuples of equal dimension (the hot
-    path inside Pareto Q-Learning); use :func:`nondominated_filter` for the
-    validating variant.
+    Exactly the input points not dominated by any input point, independent
+    of input order. Trusts its input to be finite tuples of equal dimension
+    (the hot path inside Pareto Q-Learning); wrap untrusted points in a
+    :class:`ParetoArchive` first, which validates them.
     """
     pts = sorted(set(points))
     if len(pts) <= 1:
@@ -149,20 +144,6 @@ def nondominated_points(points: Iterable[Point]) -> list[Point]:
     if len(pts[0]) == 2:
         return _nd_2d(pts)
     return [p for p in pts if not any(dominates(q, p) for q in pts)]
-
-
-def nondominated_filter(points: Iterable[Sequence[float]]) -> ParetoArchive:
-    """Archive of exactly the input points not dominated by any input point.
-
-    Deduplicates, validates finiteness and dimensions, and is independent of
-    input order. An empty input yields an empty archive.
-    """
-    validated = [_as_point(p) for p in points]
-    if validated:
-        dims = {len(p) for p in validated}
-        if len(dims) != 1:
-            raise ValueError(f"mixed point dimensions: {sorted(dims)}")
-    return ParetoArchive(nondominated_points(validated))
 
 
 def _clip(p: Point, ref: Point) -> Point:
@@ -195,40 +176,26 @@ def _hv_3d(points: Sequence[Point], ref: Point) -> float:
     return hv
 
 
-def hypervolume(front: ParetoArchive, ref: Sequence[float]) -> float:
-    """Lebesgue measure of the space dominated by ``front`` above ``ref``.
+def hypervolume(points: Sequence[Point], ref: Point) -> float:
+    """Lebesgue measure of the space dominated by ``points`` above ``ref``.
 
     Exact and deterministic: the measure of the union of boxes [ref, p] over
-    the front's points. Points falling below the reference on some
-    coordinate are clipped to it and contribute zero volume, which keeps
-    mid-training metrics defined when early policies are poor.
+    the points, given as an archive or a plain list. Points falling below
+    the reference on some coordinate are clipped to it and contribute zero
+    volume, which keeps mid-training metrics defined when early policies
+    are poor.
 
-    Supports 2 and 3 objectives. An empty front has hypervolume 0.
-    """
-    ref_pt = _as_point(ref)
-    if front.points and front.dimension != len(ref_pt):
-        raise ValueError(f"reference dimension {len(ref_pt)} != front dimension {front.dimension}")
-    if not front.points:
-        return 0.0
-    if len(ref_pt) == 2:
-        return _hv_2d(front.points, ref_pt)
-    if len(ref_pt) == 3:
-        return _hv_3d(front.points, ref_pt)
-    raise ValueError("hypervolume supports 2 or 3 objectives")
-
-
-def hypervolume_points(points: Sequence[Point], ref: Sequence[float]) -> float:
-    """Hypervolume of a raw point list, skipping archive validation.
-
-    Hot-path variant used by set-based action scoring; ``ref`` decides the
-    dimensionality (2 or 3).
+    Supports 2 and 3 objectives; ``ref`` decides which. An empty set has
+    hypervolume 0. Set-based action scoring calls this once per action per
+    step, so ``ref`` is trusted to be finite and of the points' dimension:
+    callers validate it where it enters the program.
     """
     if not points:
         return 0.0
     if len(ref) == 2:
-        return _hv_2d(points, tuple(ref))
+        return _hv_2d(points, ref)
     if len(ref) == 3:
-        return _hv_3d(points, tuple(ref))
+        return _hv_3d(points, ref)
     raise ValueError("hypervolume supports 2 or 3 objectives")
 
 

@@ -25,20 +25,25 @@ from dataclasses import dataclass, field
 
 from .envs import REFERENCE_POINTS
 from .moq import EpsilonSchedule, derive_streams, epsilon_at
-from .pareto import (
-    ParetoArchive,
-    Point,
-    dominates,
-    hypervolume_points,
-    nondominated_filter,
-    nondominated_points,
-)
+from .pareto import ParetoArchive, Point, dominates, hypervolume, nondominated_points
 
 SET_EVAL_MODES = ("hypervolume", "cardinality", "pareto")
 
 
 class CapacityError(RuntimeError):
     """Environment too large for tabular set-based Q-learning."""
+
+
+def check_capacity(spec, state_cap: int) -> None:
+    """Refuse environments with more state-action pairs than ``state_cap``."""
+    pairs = spec.state_count * spec.action_count
+    if pairs > state_cap:
+        raise CapacityError(
+            f"{spec.name}: {spec.state_count} states x {spec.action_count} actions "
+            f"= {pairs} pairs exceeds the Pareto Q-Learning cap of {state_cap}; "
+            "set-based tabular learning does not scale to this state space "
+            "(raise state_cap to force it)"
+        )
 
 
 @dataclass(frozen=True)
@@ -160,7 +165,7 @@ def score_action_sets(fronts: list[list[Point]], evaluation: SetEvaluation) -> l
     pareto: 1 if the front contributes to the non-dominated union, else 0.
     """
     if evaluation.mode == "hypervolume":
-        return [hypervolume_points(front, evaluation.ref) for front in fronts]
+        return [hypervolume(front, evaluation.ref) for front in fronts]
     if evaluation.mode == "cardinality":
         scores = []
         for i, front in enumerate(fronts):
@@ -174,32 +179,18 @@ def score_action_sets(fronts: list[list[Point]], evaluation: SetEvaluation) -> l
     return [1.0 if any(p in best for p in front) else 0.0 for front in fronts]
 
 
-def evaluate_action_set(
-    front: list[Point] | tuple[Point, ...],
-    evaluation: SetEvaluation,
-    siblings: tuple[list[Point], ...] = (),
-) -> float:
-    """Score one action's Q-set in the context of its sibling actions."""
-    return score_action_sets([list(front), *map(list, siblings)], evaluation)[0]
-
-
 class PqlAgent:
     def __init__(self, spec, config: PqlConfig, rng: random.Random):
-        pairs = spec.state_count * spec.action_count
-        if pairs > config.state_cap:
-            raise CapacityError(
-                f"{spec.name}: {spec.state_count} states x {spec.action_count} actions "
-                f"= {pairs} pairs exceeds the Pareto Q-Learning cap of {config.state_cap}; "
-                "set-based tabular learning does not scale to this state space "
-                "(raise state_cap to force it)"
-            )
-        ref = config.ref_point
-        if config.set_eval == "hypervolume" and ref is None:
-            ref = REFERENCE_POINTS.get(spec.name)
+        check_capacity(spec, config.state_cap)
+        ref = None
+        if config.set_eval == "hypervolume":
+            ref = config.ref_point if config.ref_point is not None else REFERENCE_POINTS.get(spec.name)
             if ref is None:
                 raise ValueError("hypervolume set evaluation needs ref_point")
+            if len(ref) != spec.num_objectives:
+                raise ValueError(f"ref_point needs {spec.num_objectives} values, got {len(ref)}")
         self.config = config
-        self.evaluation = SetEvaluation(config.set_eval, ref if config.set_eval == "hypervolume" else None)
+        self.evaluation = SetEvaluation(config.set_eval, ref)
         self.gamma = config.gamma
         self.rng = rng
         self.action_count = spec.action_count
@@ -226,7 +217,7 @@ class PqlAgent:
         union: list[Point] = []
         for a in range(self.action_count):
             union.extend(q_set(self.store, state, a, self.gamma))
-        return nondominated_filter(union)
+        return ParetoArchive(nondominated_points(union))
 
 
 def train(env, config: PqlConfig, seed: int, eval_interval: int | None = 1000):

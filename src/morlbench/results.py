@@ -21,6 +21,7 @@ import json
 import os
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .pareto import ParetoArchive, load_points, save_points
@@ -39,26 +40,15 @@ def fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
-def metrics_csv(records: list[MetricRecord], algorithm: str, environment: str, seed_label: str) -> str:
+def metrics_csv(rows: Iterable[tuple[str, MetricRecord]], algorithm: str, environment: str) -> str:
+    """Metrics CSV text with one line per ``(seed label, record)`` row."""
     lines = [f"# {METRICS_VERSION}", METRICS_HEADER]
-    for r in records:
+    for label, r in rows:
         igd_cell = "" if r.igd is None else fmt(r.igd)
         lines.append(
-            f"{r.timestep},{algorithm},{environment},{seed_label},"
+            f"{r.timestep},{algorithm},{environment},{label},"
             f"{fmt(r.hypervolume)},{fmt(r.sparsity)},{fmt(r.cardinality)},{igd_cell}"
         )
-    return "\n".join(lines) + "\n"
-
-
-def aggregate_csv(mean: list[MetricRecord], sd: list[MetricRecord], algorithm: str, environment: str) -> str:
-    lines = [f"# {METRICS_VERSION}", METRICS_HEADER]
-    for m, s in zip(mean, sd):
-        for label, r in (("mean", m), ("sd", s)):
-            igd_cell = "" if r.igd is None else fmt(r.igd)
-            lines.append(
-                f"{r.timestep},{algorithm},{environment},{label},"
-                f"{fmt(r.hypervolume)},{fmt(r.sparsity)},{fmt(r.cardinality)},{igd_cell}"
-            )
     return "\n".join(lines) + "\n"
 
 
@@ -106,16 +96,14 @@ def write_sweep(result: SweepResult, root: Path) -> Path:
         seed_dir = run_dir / f"seed_{run.seed}"
         fronts_dir = seed_dir / "fronts"
         fronts_dir.mkdir(parents=True, exist_ok=True)
-        (seed_dir / "metrics.csv").write_text(
-            metrics_csv(run.records, result.algorithm, result.environment, str(run.seed)), "utf-8"
-        )
+        rows = [(str(run.seed), r) for r in run.records]
+        (seed_dir / "metrics.csv").write_text(metrics_csv(rows, result.algorithm, result.environment), "utf-8")
         for t, front in run.archives:
             save_points(fronts_dir / f"{t}.points", front)
     agg_dir = run_dir / "aggregate"
     agg_dir.mkdir(exist_ok=True)
-    (agg_dir / "metrics.csv").write_text(
-        aggregate_csv(result.mean, result.sd, result.algorithm, result.environment), "utf-8"
-    )
+    rows = [row for m, s in zip(result.mean, result.sd) for row in (("mean", m), ("sd", s))]
+    (agg_dir / "metrics.csv").write_text(metrics_csv(rows, result.algorithm, result.environment), "utf-8")
     write_manifest(run_dir, result)
     return run_dir
 

@@ -23,10 +23,12 @@ WEIGHT_SUM_TOLERANCE = 1e-9
 
 
 def check_weights(weights: Sequence[float], dimension: int | None = None) -> tuple[float, ...]:
-    """Validate a weight vector: non-negative entries summing to 1."""
+    """Validate a weight vector: finite, non-negative entries summing to 1."""
     w = tuple(float(x) for x in weights)
     if dimension is not None and len(w) != dimension:
         raise ValueError(f"expected {dimension} weights, got {len(w)}")
+    if not all(map(math.isfinite, w)):
+        raise ValueError(f"weights must be finite: {w}")
     if any(x < 0.0 for x in w):
         raise ValueError(f"weights must be non-negative: {w}")
     if abs(sum(w) - 1.0) > WEIGHT_SUM_TOLERANCE:
@@ -63,15 +65,6 @@ class UtopianTracker:
             raise ValueError(f"tau must be >= 0, got {tau}")
         self.best = [-math.inf] * dimension
         self.tau = tau
-
-    def observe(self, q: Sequence[float]) -> None:
-        """Fold one Q-vector into the per-objective best values."""
-        if len(q) != len(self.best):
-            raise ValueError(f"dimension mismatch: {len(q)} vs {len(self.best)}")
-        best = self.best
-        for o, value in enumerate(q):
-            if value > best[o]:
-                best[o] = value
 
     def observe_row(self, qrow: Sequence[Sequence[float]]) -> None:
         """Fold every action's Q-vector of a state row into the tracker."""

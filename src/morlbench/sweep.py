@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .pareto import (
     cardinality,
     hypervolume,
     igd,
-    nondominated_filter,
+    nondominated_points,
     sparsity,
 )
 from .pql import PqlConfig
@@ -235,9 +235,8 @@ def _moq_item(cfg: SweepConfig, weights: tuple[float, ...], sub_seed: int):
     return timeline
 
 
-def _pql_item(cfg: SweepConfig, sub_seed: int):
+def _pql_item(cfg: SweepConfig, ref: Point, sub_seed: int):
     env = make_env(cfg.env_id, cfg.max_episode_steps)
-    ref = cfg.ref_point if cfg.ref_point is not None else REFERENCE_POINTS.get(cfg.env_id)
     config = PqlConfig(
         gamma=cfg.gamma,
         total_timesteps=cfg.total_timesteps,
@@ -276,9 +275,8 @@ def _pool_timeline(cfg: SweepConfig, per_iteration: list[tuple[int, list[Point]]
     for t, points in per_iteration:
         if cfg.archive:
             cumulative.extend(points)
-            front = nondominated_filter(cumulative)
-        else:
-            front = nondominated_filter(points)
+            points = cumulative
+        front = ParetoArchive(nondominated_points(points))
         records.append(_metric_record(t, front, ref, truth))
         archives.append((t, front))
     return records, archives
@@ -296,17 +294,19 @@ def resolve_weights(cfg: SweepConfig, num_objectives: int) -> tuple[tuple[float,
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run the full outer-loop protocol and aggregate metrics over seeds.
 
-    Incompatible algorithm/environment pairs (the Pareto Q-Learning
-    capacity cap) abort before any training starts.
+    A reference point of the wrong dimension or with non-finite values, and
+    incompatible algorithm/environment pairs (the Pareto Q-Learning
+    capacity cap), abort before any training starts.
     """
     env = make_env(cfg.env_id, cfg.max_episode_steps)
-    ref = cfg.ref_point if cfg.ref_point is not None else REFERENCE_POINTS[cfg.env_id]
+    ref = tuple(cfg.ref_point if cfg.ref_point is not None else REFERENCE_POINTS[cfg.env_id])
+    if len(ref) != env.num_objectives or not all(map(math.isfinite, ref)):
+        raise ValueError(f"ref_point needs {env.num_objectives} finite values, got {ref}")
     truth = env.true_front(cfg.gamma) if isinstance(env, DeepSeaTreasure) else None
 
     if cfg.algo == "pql":
-        # Fail loudly before spending any compute.
-        pql.PqlAgent(env.spec, PqlConfig(state_cap=cfg.state_cap, ref_point=tuple(ref)), moq.derive_streams(0, 1)[0])
-        items = [(_pql_item, cfg, seed) for seed in cfg.seeds]
+        pql.check_capacity(env.spec, cfg.state_cap)
+        items = [(_pql_item, cfg, ref, seed) for seed in cfg.seeds]
         outputs = _run_items(cfg, items)
         runs = []
         for seed, timeline in zip(cfg.seeds, outputs):
@@ -344,15 +344,10 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         environment=cfg.env_id,
         algorithm=cfg.algorithm_label,
         n_configs=n_configs,
-        ref_point=tuple(ref),
+        ref_point=ref,
         truth=truth,
         runs=runs,
         mean=mean,
         sd=sd,
     )
 
-
-def single_run_config(cfg: SweepConfig, weights: tuple[float, ...] | None, seed: int) -> SweepConfig:
-    """Narrow a sweep config to one configuration and one seed (CLI train)."""
-    fixed = (weights,) if (weights is not None and cfg.algo == "moq") else cfg.fixed_weights
-    return replace(cfg, fixed_weights=fixed, seeds=(seed,), workers=1)

@@ -29,7 +29,7 @@ from morlbench.pareto import (
     hypervolume,
     hypervolume_inclusion_exclusion,
     igd,
-    nondominated_filter,
+    nondominated_points,
     sparsity,
 )
 from morlbench.pql import PqlConfig
@@ -249,7 +249,7 @@ def test_criterion_7a_nd_filter_vs_brute_force():
         m = 2 if i % 2 == 0 else 3
         size = rng.randint(0, 40)
         pts = [tuple(float(rng.randint(0, 10)) for _ in range(m)) for _ in range(size)]
-        assert list(nondominated_filter(pts).points) == brute_force_nondominated(pts)
+        assert nondominated_points(pts) == brute_force_nondominated(pts)
     report(7, True, "7a: non-dominated filter matches brute force on 1000 instances")
 
 

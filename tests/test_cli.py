@@ -5,7 +5,7 @@ import pytest
 
 from morlbench.cli import main
 from morlbench.envs import make_env
-from morlbench.pareto import load_points, save_points
+from morlbench.pareto import ParetoArchive, load_points, save_points
 from morlbench.results import read_metrics_csv
 
 
@@ -42,6 +42,16 @@ class TestTrain:
         )
         assert code == 2
         assert "weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", ["nan,1", "inf,0", "0.5,-inf"])
+    def test_non_finite_weights_rejected(self, out_dir, capsys, weights):
+        code = run_cli(
+            "train", "--env", "dst-concave", "--algo", "moq", "--weights", weights,
+            "--steps", "1000", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert f"expected finite numbers, got {weights!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_moq_with_weights(self, out_dir):
         code = run_cli(
@@ -118,6 +128,39 @@ class TestSweep:
         manifest = json.loads((out_dir / "r" / "manifest.json").read_text("utf-8"))
         assert manifest["seeds"] == [42, 43, 44]
 
+    @pytest.mark.parametrize("seeds", ["42,51..42", "5,3..1"])
+    def test_reversed_seed_range_rejected(self, out_dir, capsys, seeds):
+        code = run_cli(
+            "sweep", "--env", "dst-concave", "--algo", "pql", "--steps", "1000",
+            "--seeds", seeds, "--out", str(out_dir),
+        )
+        assert code == 2
+        assert repr(seeds.split(",")[1]) in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_negative_ref_point_value(self, tmp_path):
+        args = (
+            "sweep", "--env", "dst-concave", "--algo", "pql", "--steps", "1000",
+            "--seeds", "3", "--name", "n",
+        )
+        assert run_cli(*args, "--ref-point", "-1,-60", "--out", str(tmp_path / "a")) == 0
+        assert run_cli(*args, "--ref-point=-1,-60", "--out", str(tmp_path / "b")) == 0
+        for rel in ("aggregate/metrics.csv", "seed_3/metrics.csv"):
+            assert (tmp_path / "a" / "n" / rel).read_bytes() == (tmp_path / "b" / "n" / rel).read_bytes()
+        manifest = json.loads((tmp_path / "a" / "n" / "manifest.json").read_text("utf-8"))
+        assert manifest["ref_point"] == [-1.0, -60.0]
+
+    @pytest.mark.parametrize("ref_point", ["0,-50,0", "0", "-inf,-50", "0,nan"])
+    def test_bad_ref_point_rejected_before_training(self, out_dir, capsys, ref_point):
+        code = run_cli(
+            "sweep", "--env", "dst-concave", "--algo", "moq", "--steps", "1000",
+            "--ref-point", ref_point, "--out", str(out_dir),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_byte_identical_aggregates(self, tmp_path):
         args = (
             "sweep", "--env", "dst-concave", "--algo", "moq", "--weight-step", "0.5",
@@ -166,6 +209,28 @@ class TestMetrics:
         path.write_text("1,2\nbogus\n", "utf-8")
         assert run_cli("metrics", str(path), "--ref", "0,0") == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_negative_ref_value(self, tmp_path, capsys):
+        path = tmp_path / "f3.points"
+        save_points(path, ParetoArchive([(1.0, 2.0, 3.0), (3.0, 2.0, 1.0)]))
+        assert run_cli("metrics", str(path), "--ref=-1,-1,-1") == 0
+        joined = capsys.readouterr().out
+        assert run_cli("metrics", str(path), "--ref", "-1,-1,-1") == 0
+        assert capsys.readouterr().out == joined
+        assert "hypervolume = 36" in joined  # 24 + 24 - 12
+
+    @pytest.mark.parametrize("ref", ["nan,0", "0,inf", "-inf,0"])
+    def test_non_finite_ref_rejected(self, tmp_path, capsys, ref):
+        path = tmp_path / "f.points"
+        save_points(path, ParetoArchive([(1.0, 2.0)]))
+        assert run_cli("metrics", str(path), "--ref", ref) == 2
+        assert f"expected finite numbers, got {ref!r}" in capsys.readouterr().err
+
+    def test_ref_dimension_checked(self, tmp_path, capsys):
+        path = tmp_path / "f.points"
+        save_points(path, ParetoArchive([(1.0, 2.0)]))
+        assert run_cli("metrics", str(path), "--ref", "0,0,0") == 2
+        assert "--ref has 3 values, the front has 2 objectives" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert run_cli("metrics", str(tmp_path / "nope.points"), "--ref", "0,0") == 2

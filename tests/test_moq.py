@@ -71,7 +71,7 @@ class TestConfig:
 class TestQTable:
     def test_zero_initialised(self):
         table = VectorQTable(3, 4, 2)
-        assert table.vector(1, 2) == (0.0, 0.0)
+        assert table.row(1)[2] == [0.0, 0.0]
 
     def test_out_of_range_state(self):
         table = VectorQTable(3, 4, 2)
@@ -109,12 +109,12 @@ class TestUpdate:
     def test_full_alpha_terminal_overwrites(self):
         agent = MoqAgent(dummy_spec(), MoqConfig(weights=(1.0, 0.0), alpha=1.0), random.Random(0))
         agent.update(0, 1, (1.0, -1.0), 0, True)
-        assert agent.qtable.vector(0, 1) == (1.0, -1.0)
+        assert agent.qtable.row(0)[1] == [1.0, -1.0]
 
     def test_zero_reward_no_bootstrap_keeps_zero(self):
         agent = MoqAgent(dummy_spec(), MoqConfig(weights=(1.0, 0.0), alpha=0.1), random.Random(0))
         agent.update(0, 0, (0.0, 0.0), 1, False)
-        assert agent.qtable.vector(0, 0) == (0.0, 0.0)
+        assert agent.qtable.row(0)[0] == [0.0, 0.0]
 
     def test_two_state_chain_converges_to_analytic_return(self):
         # 0 --(1,2)--> 1 --(3,-1)--> terminal, gamma 0.9:
@@ -126,8 +126,8 @@ class TestUpdate:
         env = TabularMdp(table, start=0, num_objectives=2, action_count=1)
         cfg = MoqConfig(weights=(0.5, 0.5), alpha=0.1, gamma=0.9, total_timesteps=10_000)
         agent, _ = train(env, cfg, seed=5, eval_interval=None)
-        assert agent.qtable.vector(1, 0) == pytest.approx((3.0, -1.0), abs=1e-3)
-        assert agent.qtable.vector(0, 0) == pytest.approx((3.7, 1.1), abs=1e-3)
+        assert agent.qtable.row(1)[0] == pytest.approx([3.0, -1.0], abs=1e-3)
+        assert agent.qtable.row(0)[0] == pytest.approx([3.7, 1.1], abs=1e-3)
 
 
 class TestTrain:
@@ -136,7 +136,7 @@ class TestTrain:
         cfg = MoqConfig(weights=(1.0, 0.0), total_timesteps=0)
         agent, timeline = train(env, cfg, seed=1)
         assert timeline == []
-        assert agent.qtable.touched_states() == []
+        assert agent.qtable._rows == {}
         point = evaluate_policy(env.fork(), agent, 0.9, rng=random.Random(0))
         assert len(point) == 2
 
@@ -146,8 +146,8 @@ class TestTrain:
         agent_a, timeline_a = train(env.fork(), cfg, seed=9)
         agent_b, timeline_b = train(env.fork(), cfg, seed=9)
         assert timeline_a == timeline_b
-        assert agent_a.qtable.touched_states() == agent_b.qtable.touched_states()
-        for s in agent_a.qtable.touched_states():
+        assert sorted(agent_a.qtable._rows) == sorted(agent_b.qtable._rows)
+        for s in agent_a.qtable._rows:
             assert agent_a.qtable.row(s) == agent_b.qtable.row(s)
 
     def test_different_seeds_differ(self):
@@ -156,7 +156,7 @@ class TestTrain:
         agent_a, _ = train(env.fork(), cfg, seed=1)
         agent_b, _ = train(env.fork(), cfg, seed=2)
         tables = [
-            {s: [list(q) for q in agent.qtable.row(s)] for s in agent.qtable.touched_states()}
+            {s: [list(q) for q in agent.qtable.row(s)] for s in agent.qtable._rows}
             for agent in (agent_a, agent_b)
         ]
         assert tables[0] != tables[1]
@@ -200,7 +200,7 @@ class TestScalarReduction:
         env = TabularMdp(table, start=0, num_objectives=1, action_count=2)
         agent, _ = train(env.fork(), cfg, seed=11, eval_interval=None)
         oracle = scalar_q_learning(env.fork(), 0.1, 0.9, 20_000, schedule, seed=11)
-        assert sorted(oracle) == agent.qtable.touched_states()
+        assert sorted(oracle) == sorted(agent.qtable._rows)
         worst = 0.0
         for state, values in oracle.items():
             row = agent.qtable.row(state)

@@ -13,9 +13,7 @@ from morlbench.pareto import (
     format_points,
     hypervolume,
     hypervolume_inclusion_exclusion,
-    hypervolume_points,
     igd,
-    nondominated_filter,
     nondominated_points,
     parse_points,
     sparsity,
@@ -63,42 +61,43 @@ class TestDominates:
 
 class TestNondominatedFilter:
     def test_basic(self):
-        front = nondominated_filter([(1.0, 2.0), (2.0, 1.0), (0.0, 0.0)])
-        assert front.points == ((1.0, 2.0), (2.0, 1.0))
+        front = nondominated_points([(1.0, 2.0), (2.0, 1.0), (0.0, 0.0)])
+        assert front == [(1.0, 2.0), (2.0, 1.0)]
 
     def test_singleton(self):
-        assert nondominated_filter([(5.0, 5.0)]).points == ((5.0, 5.0),)
+        assert nondominated_points([(5.0, 5.0)]) == [(5.0, 5.0)]
 
     def test_empty(self):
-        front = nondominated_filter([])
-        assert len(front) == 0
+        assert nondominated_points([]) == []
+        assert len(ParetoArchive(nondominated_points([]))) == 0
 
     def test_matches_brute_force_on_random_integers(self):
         rng = random.Random(7)
         for _ in range(200):
             pts = [(float(rng.randint(0, 10)), float(rng.randint(0, 10))) for _ in range(50)]
-            assert list(nondominated_filter(pts).points) == brute_force_nondominated(pts)
+            assert nondominated_points(pts) == brute_force_nondominated(pts)
 
     def test_matches_brute_force_3d(self):
         rng = random.Random(11)
         for _ in range(100):
             pts = [tuple(float(rng.randint(0, 6)) for _ in range(3)) for _ in range(25)]
-            assert list(nondominated_filter(pts).points) == brute_force_nondominated(pts)
+            assert nondominated_points(pts) == brute_force_nondominated(pts)
 
     @given(st.lists(int_point_2d, max_size=30))
     def test_idempotent(self, pts):
-        once = nondominated_filter(pts)
-        assert nondominated_filter(once.points) == once
+        once = nondominated_points(pts)
+        assert nondominated_points(once) == once
 
     @given(st.lists(int_point_2d, max_size=20), st.randoms(use_true_random=False))
     def test_permutation_invariant(self, pts, rnd):
         shuffled = list(pts)
         rnd.shuffle(shuffled)
-        assert nondominated_filter(shuffled) == nondominated_filter(pts)
+        assert nondominated_points(shuffled) == nondominated_points(pts)
 
     def test_mixed_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            nondominated_filter([(1.0, 2.0), (1.0, 2.0, 3.0)])
+        # untrusted points are validated by the archive before filtering
+        with pytest.raises(ValueError, match="mixed point dimensions"):
+            nondominated_points(ParetoArchive([(1.0, 2.0), (1.0, 2.0, 3.0)]).points)
 
 
 class TestHypervolume:
@@ -178,8 +177,10 @@ class TestHypervolume:
 
     def test_points_variant_matches(self):
         pts = [(2.0, 1.0), (1.0, 2.0)]
-        assert hypervolume_points(pts, (0.0, 0.0)) == hypervolume(ParetoArchive(pts), (0.0, 0.0))
-        assert hypervolume_points([], (0.0, 0.0)) == 0.0
+        assert hypervolume(pts, (0.0, 0.0)) == hypervolume(ParetoArchive(pts), (0.0, 0.0))
+        assert hypervolume([], (0.0, 0.0)) == 0.0
+        pts_3d = [(2.0, 1.0, 1.0), (1.0, 2.0, 1.0)]
+        assert hypervolume(pts_3d, (0.0, 0.0, 0.0)) == hypervolume(ParetoArchive(pts_3d), (0.0, 0.0, 0.0))
 
 
 class TestSparsity:
@@ -262,6 +263,11 @@ class TestArchive:
         arch = ParetoArchive([(1.0, 2.0)])
         assert (1.0, 2.0) in arch
         assert (2.0, 1.0) not in arch
+
+    def test_indexing(self):
+        arch = ParetoArchive([(2.0, 1.0), (1.0, 2.0)])
+        assert arch[0] == (1.0, 2.0)
+        assert arch[-1] == (2.0, 1.0)
 
     def test_nd_helper(self):
         assert nondominated_points([(0.0, 0.0), (1.0, 1.0)]) == [(1.0, 1.0)]

@@ -17,7 +17,7 @@ from morlbench.pql import (
     PqlConfig,
     QSetStore,
     SetEvaluation,
-    evaluate_action_set,
+    check_capacity,
     pql_update,
     q_set,
     score_action_sets,
@@ -128,7 +128,8 @@ class TestSetEvaluation:
 
     def test_empty_front_scores_zero(self):
         ev = SetEvaluation("hypervolume", (0.0, 0.0))
-        assert evaluate_action_set([], ev) == 0.0
+        assert score_action_sets([[]], ev) == [0.0]
+        assert score_action_sets([[], [(1.0, 1.0)]], ev) == [0.0, 1.0]
 
     def test_box_areas(self):
         ev = SetEvaluation("hypervolume", (0.0, 0.0))
@@ -156,8 +157,8 @@ class TestSetEvaluation:
 
     def test_sibling_context_via_single_call(self):
         ev = SetEvaluation("cardinality")
-        assert evaluate_action_set([(1.0, 1.0)], ev, siblings=([(2.0, 2.0)],)) == 0.0
-        assert evaluate_action_set([(1.0, 1.0)], ev) == 1.0
+        assert score_action_sets([[(1.0, 1.0)], [(2.0, 2.0)]], ev)[0] == 0.0
+        assert score_action_sets([[(1.0, 1.0)]], ev) == [1.0]
 
 
 class TestAct:
@@ -217,6 +218,12 @@ class TestCapacityGuard:
         env = make_env("dst-concave")
         PqlAgent(env.spec, PqlConfig(), random.Random(0))
 
+    def test_check_capacity_alone(self):
+        spec = make_env("four-room").spec
+        with pytest.raises(CapacityError, match="346112 pairs"):
+            check_capacity(spec, 200_000)
+        check_capacity(spec, 346_112)
+
 
 class TestTrainLoop:
     def test_reproducible(self):
@@ -232,10 +239,16 @@ class TestTrainLoop:
         _, timeline = train(env, cfg, seed=8)
         assert timeline
         for _, front in timeline:
-            assert front.is_nondominated()
+            assert list(front.points) == brute_force_nondominated(front.points)
 
     def test_hypervolume_mode_needs_ref_for_unknown_env(self):
         mdp = fork_mdp()
         cfg = PqlConfig(set_eval="hypervolume")  # no ref and no registry entry
         with pytest.raises(ValueError, match="ref_point"):
             PqlAgent(mdp.spec, cfg, random.Random(0))
+
+    def test_ref_point_dimension_checked(self):
+        env = make_env("dst-concave")
+        cfg = PqlConfig(ref_point=(0.0, -50.0, 0.0))
+        with pytest.raises(ValueError, match="ref_point needs 2 values, got 3"):
+            PqlAgent(env.spec, cfg, random.Random(0))

@@ -77,24 +77,29 @@ class TestWeights:
         with pytest.raises(ValueError):
             check_weights((1.0,), dimension=2)
 
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (math.inf, 0.0), (0.5, -math.inf)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            check_weights(bad)
+
 
 class TestUtopianTracker:
     def test_observe_takes_componentwise_max(self):
         tracker = UtopianTracker(2, tau=4.0)
-        tracker.observe((1.0, 1.0))
-        tracker.observe((5.0, 0.0))
+        tracker.observe_row([(1.0, 1.0)])
+        tracker.observe_row([(5.0, 0.0)])
         assert tracker.best == [5.0, 1.0]
         assert tracker.z == (9.0, 5.0)
 
     def test_dominated_observation_is_noop(self):
         tracker = UtopianTracker(2, tau=4.0)
-        tracker.observe((5.0, 1.0))
-        tracker.observe((2.0, 0.0))
+        tracker.observe_row([(5.0, 1.0)])
+        tracker.observe_row([(2.0, 0.0)])
         assert tracker.best == [5.0, 1.0]
 
     def test_offset_invariant(self):
         tracker = UtopianTracker(3, tau=6.0)
-        tracker.observe((1.0, -2.0, 0.5))
+        tracker.observe_row([(1.0, -2.0, 0.5)])
         for b, z in zip(tracker.best, tracker.z):
             assert z - b == 6.0
 
@@ -103,7 +108,7 @@ class TestUtopianTracker:
         rng = random.Random(9)
         prev = list(tracker.best)
         for _ in range(100):
-            tracker.observe((rng.uniform(-10, 10), rng.uniform(-10, 10)))
+            tracker.observe_row([(rng.uniform(-10, 10), rng.uniform(-10, 10))])
             assert all(b >= p for b, p in zip(tracker.best, prev))
             prev = list(tracker.best)
 

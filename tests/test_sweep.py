@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from helpers import TabularMdp
+from helpers import TabularMdp, brute_force_nondominated
+from morlbench import moq, pql
 from morlbench.envs import make_env
 from morlbench.pql import CapacityError
 from morlbench.sweep import (
@@ -13,7 +15,6 @@ from morlbench.sweep import (
     aggregate_seeds,
     evaluate_policy,
     run_sweep,
-    single_run_config,
     weight_grid,
 )
 
@@ -146,7 +147,7 @@ class TestRunSweep:
         result = run_sweep(_tiny_cfg())
         for run in result.runs:
             for _, front in run.archives:
-                assert front.is_nondominated()
+                assert list(front.points) == brute_force_nondominated(front.points)
 
     def test_pooled_hv_at_least_each_config(self):
         result = run_sweep(_tiny_cfg(seeds=(3,)))
@@ -218,11 +219,24 @@ class TestRunSweep:
             SweepConfig(env_id="dst-concave", eval_interval=0)
 
     def test_single_run_config(self):
-        cfg = single_run_config(_tiny_cfg(), (1.0, 0.0), 42)
-        assert cfg.fixed_weights == ((1.0, 0.0),)
-        assert cfg.seeds == (42,)
+        cfg = replace(_tiny_cfg(), fixed_weights=((1.0, 0.0),), seeds=(42,), workers=1)
         result = run_sweep(cfg)
         assert result.n_configs == 1
+        assert [run.seed for run in result.runs] == [42]
+
+    @pytest.mark.parametrize(
+        "ref_point, algo",
+        [((0.0, -50.0, 0.0), "moq"), ((0.0,), "moq"), ((0.0, math.nan), "moq"),
+         ((math.inf, -50.0), "moq"), ((0.0, -50.0, 0.0), "pql")],
+    )
+    def test_bad_ref_point_rejected_before_training(self, monkeypatch, ref_point, algo):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(moq, "train", no_training)
+        monkeypatch.setattr(pql, "train", no_training)
+        with pytest.raises(ValueError, match="ref_point needs 2 finite values"):
+            run_sweep(_tiny_cfg(ref_point=ref_point, algo=algo))
 
 
 class TestSubstreamIndependence:
