@@ -60,19 +60,28 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return values
 
 
+def _seed_bounds(part: str) -> tuple[int, int]:
+    bounds = part.split("..")
+    if len(bounds) <= 2:
+        try:
+            return int(bounds[0]), int(bounds[-1])
+        except ValueError:
+            pass
+    raise ValueError(f"--seeds: {part!r} is neither a seed nor a range lo..hi")
+
+
 def _parse_seeds(text: str) -> tuple[int, ...]:
     seeds: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = map(int, part.split("..", 1))
-            if hi < lo:
-                raise ValueError(f"seed range {part!r} is reversed (write {hi}..{lo})")
-            seeds.extend(range(lo, hi + 1))
-        elif part:
-            seeds.append(int(part))
+        if not part:
+            continue
+        lo, hi = _seed_bounds(part)
+        if hi < lo:
+            raise ValueError(f"--seeds: seed range {part!r} is reversed (write {hi}..{lo})")
+        seeds.extend(range(lo, hi + 1))
     if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
+        raise ValueError(f"--seeds: no seeds in {text!r}")
     return tuple(seeds)
 
 
@@ -253,11 +262,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, CapacityError, OSError, configparser.Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(str(exc), exc)
         return 2
-    except Exception as exc:  # pragma: no cover - unexpected runtime failure
-        print(f"error: {exc!r}", file=sys.stderr)
+    except Exception as exc:  # unexpected runtime failure
+        _report(repr(exc), exc)
         return 1
+
+
+def _report(message: str, exc: BaseException) -> None:
+    """Print an error with its notes, such as the work item that raised it."""
+    print(f"error: {message}", *getattr(exc, "__notes__", ()), sep="\n  ", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -7,11 +7,21 @@ returns observed to flow through it. The pair's Q-set is the mean reward
 translated by gamma times each future-return point, so short-term gains
 and long-term goals stay separated.
 
+A pair's Q-set changes only when that pair is updated, so the update
+materialises it on the pair, together with its hypervolume score when the
+store has a reference point; reading a Q-set or a score is then a lookup.
+One case needs care: on a self-loop (the successor is the pair's own
+state, as on a wall bump) the successor union that becomes the new future
+set contains this very pair with its new mean and its old future set, so
+the update refreshes the pair's Q-set before building that union.
+
 Action selection scores each action's Q-set with a set evaluation
 (hypervolume against a reference point by default; cardinality and Pareto
 dominance contribution are also available) and picks the best, epsilon
-greedily. The agent's current front approximation is the non-dominated
-union of the start state's Q-sets.
+greedily. Hypervolume scores are per pair and read from the store;
+cardinality and Pareto contribution depend on the sibling actions and are
+scored jointly on every greedy step. The agent's current front
+approximation is the non-dominated union of the start state's Q-sets.
 
 Tabular and set-valued, so memory grows with state-action pairs times
 front sizes; construction refuses environments beyond a configurable
@@ -77,23 +87,36 @@ class PqlConfig:
 
 
 class _PairStats:
-    __slots__ = ("count", "mean_reward", "future")
+    __slots__ = ("count", "mean_reward", "future", "qset", "score")
 
     def __init__(self, num_objectives: int):
         self.count = 0
         self.mean_reward = [0.0] * num_objectives
         self.future: list[Point] = []
+        self.qset: list[Point] = []
+        self.score = 0.0
 
 
 class QSetStore:
-    """Per (state, action) statistics, materialised on first visit."""
+    """Per (state, action) statistics, materialised on first visit.
 
-    __slots__ = ("state_count", "action_count", "num_objectives", "_states")
+    With a reference point ``ref``, every update also scores the pair's
+    Q-set by its hypervolume against it.
+    """
 
-    def __init__(self, state_count: int, action_count: int, num_objectives: int):
+    __slots__ = ("state_count", "action_count", "num_objectives", "ref", "_states")
+
+    def __init__(
+        self,
+        state_count: int,
+        action_count: int,
+        num_objectives: int,
+        ref: Point | None = None,
+    ):
         self.state_count = state_count
         self.action_count = action_count
         self.num_objectives = num_objectives
+        self.ref = ref
         self._states: dict[int, list[_PairStats | None]] = {}
 
     def pair(self, state: int, action: int) -> _PairStats | None:
@@ -114,17 +137,27 @@ class QSetStore:
         return stats
 
 
-def q_set(store: QSetStore, state: int, action: int, gamma: float) -> list[Point]:
+def q_set(store: QSetStore, state: int, action: int) -> list[Point]:
     """Current Q-set of one pair: mean reward composed with each discounted
     future return; just the mean for pairs that only reached terminals;
-    empty for unvisited pairs."""
+    empty for unvisited pairs. The list is the store's own; do not mutate."""
     stats = store.pair(state, action)
-    if stats is None or stats.count == 0:
-        return []
+    return stats.qset if stats is not None else []
+
+
+def _compose(stats: _PairStats, gamma: float) -> list[Point]:
     mean = stats.mean_reward
     if not stats.future:
         return [tuple(mean)]
     return [tuple(m + gamma * v for m, v in zip(mean, fut)) for fut in stats.future]
+
+
+def _state_front(store: QSetStore, state: int) -> list[Point]:
+    """Non-dominated union of the Q-sets of the state's actions."""
+    row = store._states.get(state)
+    if row is None:
+        return []
+    return nondominated_points([p for stats in row if stats is not None for p in stats.qset])
 
 
 def pql_update(
@@ -140,7 +173,8 @@ def pql_update(
 
     Advances the incremental reward mean and snapshots the non-dominated
     union of the successor state's Q-sets as this pair's future-return set
-    (cleared on terminal transitions).
+    (cleared on terminal transitions), then materialises the pair's Q-set
+    and, if the store has a reference point, its hypervolume score.
     """
     stats = store.ensure(state, action)
     stats.count += 1
@@ -150,11 +184,14 @@ def pql_update(
         mean[o] += (r_o - mean[o]) / n
     if terminated:
         stats.future = []
-        return
-    union: list[Point] = []
-    for a in range(store.action_count):
-        union.extend(q_set(store, next_state, a, gamma))
-    stats.future = nondominated_points(union)
+    else:
+        if next_state == state:
+            # the union below holds this pair: new mean, old future set
+            stats.qset = _compose(stats, gamma)
+        stats.future = _state_front(store, next_state)
+    stats.qset = _compose(stats, gamma)
+    if store.ref is not None:
+        stats.score = hypervolume(stats.qset, store.ref)
 
 
 def score_action_sets(fronts: list[list[Point]], evaluation: SetEvaluation) -> list[float]:
@@ -194,14 +231,21 @@ class PqlAgent:
         self.gamma = config.gamma
         self.rng = rng
         self.action_count = spec.action_count
-        self.store = QSetStore(spec.state_count, spec.action_count, spec.num_objectives)
+        self.store = QSetStore(spec.state_count, spec.action_count, spec.num_objectives, ref)
 
     def act(self, state: int, epsilon: float) -> int:
         rng = self.rng
         if epsilon > 0.0 and rng.random() < epsilon:
             return rng.randrange(self.action_count)
-        fronts = [q_set(self.store, state, a, self.gamma) for a in range(self.action_count)]
-        scores = score_action_sets(fronts, self.evaluation)
+        if self.evaluation.mode == "hypervolume":
+            row = self.store._states.get(state)
+            if row is None:
+                scores = [0.0] * self.action_count
+            else:
+                scores = [0.0 if stats is None else stats.score for stats in row]
+        else:
+            fronts = [q_set(self.store, state, a) for a in range(self.action_count)]
+            scores = score_action_sets(fronts, self.evaluation)
         best = max(scores)
         ties = [i for i, s in enumerate(scores) if s == best]
         if len(ties) == 1:
@@ -214,10 +258,7 @@ class PqlAgent:
     def front(self, state: int) -> ParetoArchive:
         """Non-dominated union of the state's Q-sets: the agent's current
         Pareto front approximation when called on the start state."""
-        union: list[Point] = []
-        for a in range(self.action_count):
-            union.extend(q_set(self.store, state, a, self.gamma))
-        return ParetoArchive(nondominated_points(union))
+        return ParetoArchive(_state_front(self.store, state))
 
 
 def train(env, config: PqlConfig, seed: int, eval_interval: int | None = 1000):

@@ -249,12 +249,23 @@ def _pql_item(cfg: SweepConfig, ref: Point, sub_seed: int):
     return [(t, front.points) for t, front in timeline]
 
 
+def _run_item(label: str, fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        exc.add_note(f"in work item {label}")
+        raise
+
+
 def _run_items(cfg: SweepConfig, items: list[tuple]):
-    """Execute (fn, args...) work items; returns results in item order."""
+    """Execute (label, fn, args...) work items; returns results in item order.
+
+    An exception from an item propagates with a note naming its label.
+    """
     if cfg.workers <= 1 or len(items) <= 1:
-        return [fn(*args) for fn, *args in items]
+        return [_run_item(*item) for item in items]
     with ProcessPoolExecutor(max_workers=min(cfg.workers, len(items))) as pool:
-        futures = [pool.submit(fn, *args) for fn, *args in items]
+        futures = [pool.submit(_run_item, *item) for item in items]
         return [f.result() for f in futures]
 
 
@@ -306,7 +317,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
     if cfg.algo == "pql":
         pql.check_capacity(env.spec, cfg.state_cap)
-        items = [(_pql_item, cfg, ref, seed) for seed in cfg.seeds]
+        items = [(f"pql seed={seed}", _pql_item, cfg, ref, seed) for seed in cfg.seeds]
         outputs = _run_items(cfg, items)
         runs = []
         for seed, timeline in zip(cfg.seeds, outputs):
@@ -318,7 +329,10 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     else:
         weights = resolve_weights(cfg, env.num_objectives)
         items = [
-            (_moq_item, cfg, w, _substream_seed(seed, i))
+            (
+                f"{cfg.algorithm_label} weights={w} seed={seed}",
+                _moq_item, cfg, w, _substream_seed(seed, i),
+            )
             for seed in cfg.seeds
             for i, w in enumerate(weights)
         ]

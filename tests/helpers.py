@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's algorithms: dominance by
 quadratic pairwise scan, hypervolume by Monte-Carlo box sampling, fronts by
-exhaustive path enumeration, and plain scalar Q-learning as the
-single-objective reference.
+exhaustive path enumeration, Pareto Q-Learning's Q-sets rebuilt from
+scratch on every read, and plain scalar Q-learning as the single-objective
+reference.
 """
 
 from __future__ import annotations
@@ -41,6 +42,44 @@ def monte_carlo_hypervolume(points, ref, samples, rng):
     p_hat = hits / samples
     stderr = box * (p_hat * (1.0 - p_hat) / samples) ** 0.5
     return box * p_hat, stderr
+
+
+def reference_q_set(mean, future, gamma):
+    """From-scratch Q-set of a visited pair: the mean reward alone, or the
+    mean translated by gamma times each future-return point."""
+    if not future:
+        return [tuple(mean)]
+    return [tuple(m + gamma * v for m, v in zip(mean, fut)) for fut in future]
+
+
+def reference_pql(transitions, action_count, gamma):
+    """Pareto Q-Learning's statistics with every Q-set rebuilt from scratch
+    when it is read.
+
+    Folds ``(state, action, reward, next_state, terminated)`` transitions
+    in order; returns ``{(state, action): (count, mean, future)}``. The mean
+    advances before the successor union is read, so on a self-loop the
+    union holds the pair's new mean with its old future set.
+    """
+    table = {}
+
+    def q(state, action):
+        entry = table.get((state, action))
+        return [] if entry is None else reference_q_set(entry[1], entry[2], gamma)
+
+    for state, action, reward, next_state, terminated in transitions:
+        count, mean, future = table.get((state, action), (0, [0.0] * len(reward), []))
+        count += 1
+        mean = [m + (r - m) / count for m, r in zip(mean, reward)]
+        table[(state, action)] = (count, mean, future)
+        if terminated:
+            future = []
+        else:
+            future = brute_force_nondominated(
+                [p for a in range(action_count) for p in q(next_state, a)]
+            )
+        table[(state, action)] = (count, mean, future)
+    return table
 
 
 class TabularMdp:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from morlbench import moq
 from morlbench.cli import main
 from morlbench.envs import make_env
 from morlbench.pareto import ParetoArchive, load_points, save_points
@@ -138,6 +139,18 @@ class TestSweep:
         assert repr(seeds.split(",")[1]) in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("seeds", ["42..", "1..2..3", "a"])
+    def test_malformed_seeds_named(self, out_dir, capsys, seeds):
+        code = run_cli(
+            "sweep", "--env", "dst-concave", "--algo", "pql", "--steps", "1000",
+            "--seeds", seeds, "--out", str(out_dir),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--seeds" in err and repr(seeds) in err
+        assert "invalid literal" not in err
+        assert not out_dir.exists()
+
     def test_negative_ref_point_value(self, tmp_path):
         args = (
             "sweep", "--env", "dst-concave", "--algo", "pql", "--steps", "1000",
@@ -159,6 +172,20 @@ class TestSweep:
         assert code == 2
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_failing_work_item_named(self, out_dir, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("diverged")
+
+        monkeypatch.setattr(moq, "train", broken)
+        code = run_cli(
+            "sweep", "--env", "dst-concave", "--algo", "moq", "--scalariser", "linear",
+            "--weight-step", "0.5", "--steps", "1000", "--seeds", "7", "--out", str(out_dir),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "diverged" in err and "in work item moq-linear weights=(0.0, 1.0) seed=7" in err
         assert not out_dir.exists()
 
     def test_byte_identical_aggregates(self, tmp_path):

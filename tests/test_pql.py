@@ -8,10 +8,14 @@ from helpers import (
     enumerate_returns,
     fork_mdp,
     lattice_mdp,
+    reference_pql,
+    reference_q_set,
 )
 from morlbench.envs import make_env
 from morlbench.moq import EpsilonSchedule
+from morlbench.pareto import hypervolume
 from morlbench.pql import (
+    SET_EVAL_MODES,
     CapacityError,
     PqlAgent,
     PqlConfig,
@@ -41,26 +45,30 @@ def _converged_front(mdp, gamma, steps, seed=0):
 class TestQSet:
     def test_unvisited_empty(self):
         store = QSetStore(4, 2, 2)
-        assert q_set(store, 0, 0, 0.9) == []
+        assert q_set(store, 0, 0) == []
 
     def test_terminal_pair_returns_mean(self):
         store = QSetStore(4, 2, 2)
         pql_update(store, 0, 0, (1.0, -1.0), 0, True, 0.9)
-        assert q_set(store, 0, 0, 0.9) == [(1.0, -1.0)]
+        assert q_set(store, 0, 0) == [(1.0, -1.0)]
 
     def test_affine_composition(self):
         store = QSetStore(4, 2, 2)
-        pql_update(store, 0, 0, (0.0, -1.0), 1, True, 0.9)
-        stats = store.pair(0, 0)
-        stats.future = [(1.0, -1.0), (2.0, -3.0)]
-        assert q_set(store, 0, 0, 0.9) == [(0.9, -1.9), (1.8, -3.7)]
+        # successor state 1 reaches terminals worth (1, -1) and (2, -3)
+        pql_update(store, 1, 0, (1.0, -1.0), 3, True, 0.9)
+        pql_update(store, 1, 1, (2.0, -3.0), 3, True, 0.9)
+        pql_update(store, 0, 0, (0.0, -1.0), 1, False, 0.9)
+        assert store.pair(0, 0).future == [(1.0, -1.0), (2.0, -3.0)]
+        assert q_set(store, 0, 0) == [(0.9, -1.9), (1.8, -3.7)]
 
     def test_qset_is_affine_image(self):
-        store = QSetStore(4, 2, 2)
+        store = QSetStore(4, 3, 2)
+        for a, r in enumerate([(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]):
+            pql_update(store, 1, a, r, 3, True, 0.9)
         pql_update(store, 0, 0, (0.5, 0.5), 1, False, 0.9)
         stats = store.pair(0, 0)
-        stats.future = [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]
-        assert len(q_set(store, 0, 0, 0.9)) == len(stats.future)
+        assert len(stats.future) == 3
+        assert len(q_set(store, 0, 0)) == len(stats.future)
 
 
 class TestUpdate:
@@ -111,9 +119,83 @@ class TestUpdate:
             state = env.reset() if out.terminated or out.truncated else out.next_state
         union = []
         for a in range(mdp.action_count):
-            union.extend(q_set(store, mdp.start, a, 0.9))
+            union.extend(q_set(store, mdp.start, a))
         expected = brute_force_nondominated(enumerate_returns(mdp, 0.9))
         assert sorted(set(union)) == expected
+
+
+# (environment factory, hypervolume reference point); DST has self-loops
+# (wall bumps), the hand-built MDPs are acyclic and the lattice is 3-D
+ENVS = {
+    "dst-concave": (lambda: make_env("dst-concave"), (0.0, -50.0)),
+    "lattice": (lattice_mdp, (-1.0, -1.0, -1.0)),
+    "diamond": (diamond_mdp, (-1.0, -1.0)),
+}
+
+
+def _random_transitions(env, steps, seed):
+    rng = random.Random(seed)
+    state = env.reset()
+    out = []
+    for _ in range(steps):
+        action = rng.randrange(env.spec.action_count)
+        step = env.step(action)
+        out.append((state, action, step.reward, step.next_state, step.terminated))
+        state = env.reset() if step.terminated or step.truncated else step.next_state
+    return out
+
+
+class TestMaterialisedQSets:
+    """The update stores each pair's Q-set (and hypervolume score); these
+    compare the stored values with the from-scratch formula."""
+
+    @pytest.mark.parametrize("mode", SET_EVAL_MODES)
+    @pytest.mark.parametrize("env_name", list(ENVS))
+    def test_cached_q_sets_match_reference(self, env_name, mode):
+        make, ref = ENVS[env_name]
+        ref = ref if mode == "hypervolume" else None
+        cfg = PqlConfig(total_timesteps=5_000, set_eval=mode, ref_point=ref)
+        agent, _ = train(make(), cfg, seed=3)
+        pairs = [
+            (s, a, stats)
+            for s, row in agent.store._states.items()
+            for a, stats in enumerate(row)
+            if stats is not None
+        ]
+        assert pairs
+        for s, a, stats in pairs:
+            expected = reference_q_set(stats.mean_reward, stats.future, cfg.gamma)
+            assert q_set(agent.store, s, a) == expected, (s, a)
+            if ref is not None:
+                assert stats.score == hypervolume(expected, ref), (s, a)
+
+    @pytest.mark.parametrize("env_name", list(ENVS))
+    def test_update_matches_from_scratch_reference(self, env_name):
+        env = ENVS[env_name][0]()
+        transitions = _random_transitions(env, 5_000, seed=11)
+        store = QSetStore(env.spec.state_count, env.spec.action_count, env.spec.num_objectives)
+        for transition in transitions:
+            pql_update(store, *transition, 0.9)
+        expected = reference_pql(transitions, env.spec.action_count, 0.9)
+        for (s, a), (count, mean, future) in expected.items():
+            stats = store.pair(s, a)
+            assert (stats.count, stats.mean_reward, stats.future) == (count, mean, future), (s, a)
+            assert q_set(store, s, a) == reference_q_set(mean, future, 0.9), (s, a)
+
+    def test_self_loop_union_sees_updated_mean(self):
+        store = QSetStore(4, 2, 2)
+        pql_update(store, 0, 0, (1.0, 0.0), 0, True, 0.9)
+        pql_update(store, 0, 0, (3.0, 0.0), 0, False, 0.9)
+        stats = store.pair(0, 0)
+        assert stats.mean_reward == [2.0, 0.0]
+        # the union over state 0 holds this pair's new mean, not the old (1, 0)
+        assert stats.future == [(2.0, 0.0)]
+        assert q_set(store, 0, 0) == [(2.0 + 0.9 * 2.0, 0.0)]
+
+    def test_store_scores_against_its_reference_point(self):
+        store = QSetStore(4, 2, 2, ref=(0.0, 0.0))
+        pql_update(store, 0, 0, (2.0, 3.0), 0, True, 0.9)
+        assert store.pair(0, 0).score == 6.0
 
 
 class TestSetEvaluation:

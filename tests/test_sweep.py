@@ -239,6 +239,20 @@ class TestRunSweep:
             run_sweep(_tiny_cfg(ref_point=ref_point, algo=algo))
 
 
+class TestFailingWorkItem:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_note_names_the_item(self, monkeypatch, workers):
+        def broken(env, config, seed, eval_interval):
+            if config.weights == (0.5, 0.5):
+                raise RuntimeError("diverged")
+            return None, []
+
+        monkeypatch.setattr(moq, "train", broken)
+        with pytest.raises(RuntimeError, match="diverged") as info:
+            run_sweep(_tiny_cfg(seeds=(2,), workers=workers))
+        assert info.value.__notes__ == ["in work item moq-linear weights=(0.5, 0.5) seed=2"]
+
+
 class TestSubstreamIndependence:
     def test_configs_get_distinct_streams(self):
         # same trial seed, different configuration indices: different rollouts
