@@ -5,7 +5,11 @@ objective, and selects actions by scalarising the current state's Q-row
 (weighted sum or Chebyshev distance to a tracked utopian point). Updates
 are per-objective temporal-difference steps that all bootstrap on the same
 scalarised-greedy next action, so the table estimates the return vector of
-the scalarised-greedy policy.
+the scalarised-greedy policy. Acting and bootstrapping score actions the
+same way (:func:`~morlbench.scalarise.greedy_action`) and differ only in
+how exact ties are broken: acting draws from the agent's rng stream, while
+the bootstrap takes the first tied action and draws nothing, so updates
+never move the stream.
 
 Run many instances under different weight vectors (see
 :mod:`morlbench.sweep`) to approximate a Pareto front outer-loop style.
@@ -130,29 +134,6 @@ class MoqAgent:
         z = self.utopian.z if self._chebyshev else None
         return greedy_action(self.mode, row, self.weights, z, rng=rng or self.rng)
 
-    def _bootstrap_action(self, row: list[list[float]]) -> int:
-        # First tied index, deterministically: the bootstrap value only
-        # needs *a* scalarised-greedy action and must not consume rng.
-        w = self.weights
-        if self.mode == "linear":
-            best_i = 0
-            best = None
-            for i, q in enumerate(row):
-                s = 0.0
-                for wo, qo in zip(w, q):
-                    s += wo * qo
-                if best is None or s > best:
-                    best, best_i = s, i
-            return best_i
-        z = self.utopian.z
-        best_i = 0
-        best = None
-        for i, q in enumerate(row):
-            s = max(wo * abs(qo - zo) for wo, qo, zo in zip(w, q, z))
-            if best is None or s < best:
-                best, best_i = s, i
-        return best_i
-
     def update(self, state: int, action: int, reward, next_state: int, terminated: bool) -> None:
         """Per-objective TD update; terminal transitions bootstrap zero."""
         q = self.qtable.row(state)[action]
@@ -162,7 +143,8 @@ class MoqAgent:
                 q[o] += alpha * (r_o - q[o])
             return
         next_row = self.qtable.row(next_state)
-        q_next = next_row[self._bootstrap_action(next_row)]
+        z = self.utopian.z if self._chebyshev else None
+        q_next = next_row[greedy_action(self.mode, next_row, self.weights, z, rng=None)]
         gamma = self.config.gamma
         for o, r_o in enumerate(reward):
             q[o] += alpha * (r_o + gamma * q_next[o] - q[o])

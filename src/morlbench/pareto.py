@@ -151,12 +151,13 @@ def _clip(p: Point, ref: Point) -> Point:
 
 
 def _hv_2d(points: Iterable[Point], ref: Point) -> float:
-    pts = sorted((_clip(p, ref) for p in points), key=lambda p: (-p[0], -p[1]))
+    rx, ry = ref
+    pts = sorted([(x if x > rx else rx, y if y > ry else ry) for x, y in points], reverse=True)
     hv = 0.0
-    y_cover = ref[1]
+    y_cover = ry
     for x, y in pts:
         if y > y_cover:
-            hv += (x - ref[0]) * (y - y_cover)
+            hv += (x - rx) * (y - y_cover)
             y_cover = y
     return hv
 

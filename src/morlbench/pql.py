@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from .envs import REFERENCE_POINTS
 from .moq import EpsilonSchedule, derive_streams, epsilon_at
 from .pareto import ParetoArchive, Point, dominates, hypervolume, nondominated_points
+from .scalarise import best_index
 
 SET_EVAL_MODES = ("hypervolume", "cardinality", "pareto")
 
@@ -54,18 +55,6 @@ def check_capacity(spec, state_cap: int) -> None:
             "set-based tabular learning does not scale to this state space "
             "(raise state_cap to force it)"
         )
-
-
-@dataclass(frozen=True)
-class SetEvaluation:
-    mode: str = "hypervolume"
-    ref: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.mode not in SET_EVAL_MODES:
-            raise ValueError(f"unknown set evaluation {self.mode!r}")
-        if (self.ref is not None) != (self.mode == "hypervolume"):
-            raise ValueError("a reference point is required exactly for hypervolume mode")
 
 
 @dataclass(frozen=True)
@@ -194,16 +183,14 @@ def pql_update(
         stats.score = hypervolume(stats.qset, store.ref)
 
 
-def score_action_sets(fronts: list[list[Point]], evaluation: SetEvaluation) -> list[float]:
+def score_action_sets(fronts: list[list[Point]], mode: str) -> list[float]:
     """Score sibling actions' Q-sets jointly.
 
-    hypervolume: each front's hypervolume against the reference point.
     cardinality: how many of the front's points no sibling point dominates.
     pareto: 1 if the front contributes to the non-dominated union, else 0.
+    Hypervolume scores are per pair and live in the store instead.
     """
-    if evaluation.mode == "hypervolume":
-        return [hypervolume(front, evaluation.ref) for front in fronts]
-    if evaluation.mode == "cardinality":
+    if mode == "cardinality":
         scores = []
         for i, front in enumerate(fronts):
             rivals = [p for j, other in enumerate(fronts) if j != i for p in other]
@@ -211,6 +198,8 @@ def score_action_sets(fronts: list[list[Point]], evaluation: SetEvaluation) -> l
                 float(sum(1 for p in front if not any(dominates(q, p) for q in rivals)))
             )
         return scores
+    if mode != "pareto":
+        raise ValueError(f"no joint scoring for set evaluation {mode!r}")
     union = [p for front in fronts for p in front]
     best = set(nondominated_points(union))
     return [1.0 if any(p in best for p in front) else 0.0 for front in fronts]
@@ -227,7 +216,7 @@ class PqlAgent:
             if len(ref) != spec.num_objectives:
                 raise ValueError(f"ref_point needs {spec.num_objectives} values, got {len(ref)}")
         self.config = config
-        self.evaluation = SetEvaluation(config.set_eval, ref)
+        self.set_eval = config.set_eval
         self.gamma = config.gamma
         self.rng = rng
         self.action_count = spec.action_count
@@ -237,7 +226,7 @@ class PqlAgent:
         rng = self.rng
         if epsilon > 0.0 and rng.random() < epsilon:
             return rng.randrange(self.action_count)
-        if self.evaluation.mode == "hypervolume":
+        if self.set_eval == "hypervolume":
             row = self.store._states.get(state)
             if row is None:
                 scores = [0.0] * self.action_count
@@ -245,12 +234,8 @@ class PqlAgent:
                 scores = [0.0 if stats is None else stats.score for stats in row]
         else:
             fronts = [q_set(self.store, state, a) for a in range(self.action_count)]
-            scores = score_action_sets(fronts, self.evaluation)
-        best = max(scores)
-        ties = [i for i, s in enumerate(scores) if s == best]
-        if len(ties) == 1:
-            return ties[0]
-        return ties[rng.randrange(len(ties))]
+            scores = score_action_sets(fronts, self.set_eval)
+        return best_index(scores, rng)
 
     def update(self, state: int, action: int, reward, next_state: int, terminated: bool) -> None:
         pql_update(self.store, state, action, reward, next_state, terminated, self.gamma)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import mul, sub
 from typing import Sequence
 
 SCALARISERS = ("linear", "chebyshev")
@@ -36,18 +37,42 @@ def check_weights(weights: Sequence[float], dimension: int | None = None) -> tup
     return w
 
 
-def linear_scalarise(q: Sequence[float], w: Sequence[float]) -> float:
-    """Weighted sum of the Q-vector components."""
-    if len(q) != len(w):
-        raise ValueError(f"dimension mismatch: {len(q)} vs {len(w)}")
-    return sum(wo * qo for wo, qo in zip(w, q))
+def action_scores(
+    mode: str,
+    qrow: Sequence[Sequence[float]],
+    w: Sequence[float],
+    z: Sequence[float] | None = None,
+) -> list[float]:
+    """Score every action of one state's Q-row; higher is better.
+
+    ``linear`` scores the weighted sum of the objectives. ``chebyshev``
+    scores minus the largest weighted absolute deviation from the utopian
+    point ``z``, so the action closest to utopia scores highest. This runs
+    on every step, so dimensions are not checked here: ``w`` and ``z`` must
+    have the Q-vectors' length, which :class:`~morlbench.moq.MoqAgent`
+    checks once against the environment.
+    """
+    if mode == "linear":
+        return [sum(map(mul, w, q)) for q in qrow]
+    if mode == "chebyshev":
+        if z is None:
+            raise ValueError("chebyshev selection needs a utopian point")
+        return [-max(map(mul, w, map(abs, map(sub, q, z)))) for q in qrow]
+    raise ValueError(f"unknown scalariser {mode!r}")
 
 
-def chebyshev_scalarise(q: Sequence[float], w: Sequence[float], z: Sequence[float]) -> float:
-    """Largest weighted absolute deviation of the Q-vector from utopia ``z``."""
-    if not (len(q) == len(w) == len(z)):
-        raise ValueError(f"dimension mismatch: q={len(q)} w={len(w)} z={len(z)}")
-    return max(wo * abs(qo - zo) for wo, qo, zo in zip(w, q, z))
+def best_index(scores: list[float], rng: random.Random | None) -> int:
+    """Index of the highest score.
+
+    Exact ties are broken uniformly at random with ``rng``, which draws
+    only when there is a tie; with ``rng=None`` the first tied index wins
+    and nothing is drawn.
+    """
+    best = max(scores)
+    if rng is None or scores.count(best) == 1:
+        return scores.index(best)
+    ties = [i for i, s in enumerate(scores) if s == best]
+    return ties[rng.randrange(len(ties))]
 
 
 class UtopianTracker:
@@ -85,28 +110,12 @@ def greedy_action(
     w: Sequence[float],
     z: Sequence[float] | None = None,
     *,
-    rng: random.Random,
+    rng: random.Random | None,
 ) -> int:
     """Index of the greedily-best action for one state's Q-row.
 
     Linear selection maximises the weighted sum; Chebyshev selection
-    minimises the weighted distance to utopia. Exact ties are broken
-    uniformly at random from the tied set using ``rng`` (no draw happens
-    when the winner is unique).
+    minimises the weighted distance to utopia. Ties are broken as in
+    :func:`best_index`: at random with ``rng``, by first index without.
     """
-    if not qrow:
-        raise ValueError("empty action set")
-    if mode == "linear":
-        scores = [linear_scalarise(q, w) for q in qrow]
-        best = max(scores)
-    elif mode == "chebyshev":
-        if z is None:
-            raise ValueError("chebyshev selection needs a utopian point")
-        scores = [chebyshev_scalarise(q, w, z) for q in qrow]
-        best = min(scores)
-    else:
-        raise ValueError(f"unknown scalariser {mode!r}")
-    ties = [i for i, s in enumerate(scores) if s == best]
-    if len(ties) == 1:
-        return ties[0]
-    return ties[rng.randrange(len(ties))]
+    return best_index(action_scores(mode, qrow, w, z), rng)

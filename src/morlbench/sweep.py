@@ -79,6 +79,10 @@ class SweepConfig:
             raise ValueError("eval_interval must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.max_configs is not None and self.max_configs < 1:
+            raise ValueError(f"max_configs must be >= 1, got {self.max_configs}")
+        if self.max_episode_steps < 1:
+            raise ValueError(f"max_episode_steps must be >= 1, got {self.max_episode_steps}")
 
     @property
     def algorithm_label(self) -> str:

@@ -151,6 +151,24 @@ class TestSweep:
         assert "invalid literal" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "option, key",
+        [
+            ("--max-configs=0", "max_configs"),
+            ("--max-configs=-1", "max_configs"),
+            ("--max-episode-steps=0", "max_episode_steps"),
+            ("--max-episode-steps=-3", "max_episode_steps"),
+        ],
+    )
+    def test_non_positive_limits_rejected(self, out_dir, capsys, option, key):
+        code = run_cli(
+            "sweep", "--env", "dst-concave", "--algo", "moq", "--steps", "1000",
+            option, "--out", str(out_dir),
+        )
+        assert code == 2
+        assert f"{key} must be >= 1, got {option.split('=')[1]}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_negative_ref_point_value(self, tmp_path):
         args = (
             "sweep", "--env", "dst-concave", "--algo", "pql", "--steps", "1000",

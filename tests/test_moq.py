@@ -67,6 +67,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             MoqConfig(weights=(1.0, 0.0), scalariser="exponential")
 
+    @pytest.mark.parametrize("scalariser", ["linear", "chebyshev"])
+    def test_agent_refuses_weights_of_wrong_length(self, scalariser):
+        for weights in [(1.0,), (0.5, 0.25, 0.25)]:
+            cfg = MoqConfig(weights=weights, scalariser=scalariser)
+            with pytest.raises(ValueError, match=f"expected 2 weights, got {len(weights)}"):
+                MoqAgent(dummy_spec(num_objectives=2), cfg, random.Random(0))
+
 
 class TestQTable:
     def test_zero_initialised(self):
@@ -115,6 +122,18 @@ class TestUpdate:
         agent = MoqAgent(dummy_spec(), MoqConfig(weights=(1.0, 0.0), alpha=0.1), random.Random(0))
         agent.update(0, 0, (0.0, 0.0), 1, False)
         assert agent.qtable.row(0)[0] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("scalariser", ["linear", "chebyshev"])
+    def test_bootstrap_takes_first_tied_action_without_drawing(self, scalariser):
+        cfg = MoqConfig(weights=(0.5, 0.5), scalariser=scalariser, alpha=1.0, gamma=0.5, tau=0.0)
+        agent = MoqAgent(dummy_spec(), cfg, random.Random(6))
+        # actions 1 and 3 tie under both scalarisers (utopia is (2, 2)) with different vectors
+        agent.qtable.row(1)[:] = [[-1.0, -1.0], [2.0, 0.0], [-1.0, -1.0], [0.0, 2.0]]
+        agent.utopian.observe_row(agent.qtable.row(1))
+        state = agent.rng.getstate()
+        agent.update(0, 0, (0.0, 0.0), 1, False)
+        assert agent.qtable.row(0)[0] == [1.0, 0.0]
+        assert agent.rng.getstate() == state
 
     def test_two_state_chain_converges_to_analytic_return(self):
         # 0 --(1,2)--> 1 --(3,-1)--> terminal, gamma 0.9:

@@ -138,14 +138,21 @@ class TestHypervolume:
 
     def test_2d_sweep_equals_inclusion_exclusion(self):
         rng = random.Random(13)
-        for size in range(1, 13):
-            for _ in range(30):
-                pts = [(float(rng.randint(0, 12)), float(rng.randint(0, 12))) for _ in range(size)]
-                front = ParetoArchive(pts)
-                ref = (0.0, 0.0)
-                assert hypervolume(front, ref) == pytest.approx(
-                    hypervolume_inclusion_exclusion(front, ref), abs=1e-9
-                )
+        cases = [
+            [(float(rng.randint(0, 12)), float(rng.randint(0, 12))) for _ in range(size)]
+            for size in range(1, 13)
+            for _ in range(30)
+        ]
+        # signed zeros, repeated x values and points below the reference
+        cases.append(
+            [(2.0, 1.0), (2.0, 3.0), (-0.0, 4.0), (0.0, 5.0), (0.0, 5.0), (3.0, -0.0), (-1.0, 6.0)]
+        )
+        ref = (0.0, 0.0)
+        for pts in cases:
+            front = ParetoArchive(pts)
+            expected = hypervolume_inclusion_exclusion(front, ref)
+            assert hypervolume(front, ref) == pytest.approx(expected, abs=1e-9)
+            assert hypervolume(pts, ref) == pytest.approx(expected, abs=1e-9)
 
     def test_3d_slab_equals_inclusion_exclusion(self):
         rng = random.Random(17)

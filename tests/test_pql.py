@@ -20,7 +20,6 @@ from morlbench.pql import (
     PqlAgent,
     PqlConfig,
     QSetStore,
-    SetEvaluation,
     check_capacity,
     pql_update,
     q_set,
@@ -200,47 +199,56 @@ class TestMaterialisedQSets:
 
 class TestSetEvaluation:
     def test_ref_iff_hypervolume(self):
-        SetEvaluation("hypervolume", (0.0, 0.0))
-        with pytest.raises(ValueError):
-            SetEvaluation("hypervolume", None)
-        with pytest.raises(ValueError):
-            SetEvaluation("cardinality", (0.0, 0.0))
-        with pytest.raises(ValueError):
-            SetEvaluation("volume", None)
+        with pytest.raises(ValueError, match="unknown set evaluation"):
+            PqlConfig(set_eval="volume")
+        spec = make_env("dst-concave").spec
+        for mode in SET_EVAL_MODES:
+            agent = PqlAgent(spec, PqlConfig(set_eval=mode, ref_point=(0.0, 0.0)), random.Random(0))
+            assert (agent.store.ref is not None) == (mode == "hypervolume"), mode
 
     def test_empty_front_scores_zero(self):
-        ev = SetEvaluation("hypervolume", (0.0, 0.0))
-        assert score_action_sets([[]], ev) == [0.0]
-        assert score_action_sets([[], [(1.0, 1.0)]], ev) == [0.0, 1.0]
+        env = make_env("dst-concave")
+        agent = PqlAgent(env.spec, PqlConfig(ref_point=(0.0, 0.0)), random.Random(5))
+        agent.update(0, 1, (1.0, -1.0), 0, True)  # below the reference point
+        assert agent.store.pair(0, 1).score == 0.0
+        # the visited pair ties with the three unvisited ones, which score 0
+        assert {agent.act(0, 0.0) for _ in range(200)} == {0, 1, 2, 3}
+        agent.update(0, 2, (1.0, 1.0), 0, True)
+        assert all(agent.act(0, 0.0) == 2 for _ in range(50))
 
     def test_box_areas(self):
-        ev = SetEvaluation("hypervolume", (0.0, 0.0))
-        scores = score_action_sets([[(1.0, 1.0)], [(2.0, 2.0)]], ev)
-        assert scores == [1.0, 4.0]
+        store = QSetStore(4, 2, 2, ref=(0.0, 0.0))
+        pql_update(store, 0, 0, (1.0, 1.0), 0, True, 0.9)
+        pql_update(store, 0, 1, (2.0, 2.0), 0, True, 0.9)
+        assert [store.pair(0, a).score for a in range(2)] == [1.0, 4.0]
 
     def test_equal_fronts_equal_scores(self):
-        ev = SetEvaluation("hypervolume", (0.0, 0.0))
-        front = [(1.0, 2.0), (2.0, 1.0)]
-        scores = score_action_sets([list(front), list(front)], ev)
-        assert scores[0] == scores[1]
+        store = QSetStore(4, 2, 2, ref=(0.0, 0.0))
+        pql_update(store, 1, 0, (1.0, 2.0), 3, True, 1.0)
+        pql_update(store, 1, 1, (2.0, 1.0), 3, True, 1.0)
+        for a in range(2):
+            pql_update(store, 0, a, (0.0, 0.0), 1, False, 1.0)
+        assert q_set(store, 0, 0) == q_set(store, 0, 1) == [(1.0, 2.0), (2.0, 1.0)]
+        assert store.pair(0, 0).score == store.pair(0, 1).score == 3.0
 
     def test_cardinality_counts_unbeaten_points(self):
-        ev = SetEvaluation("cardinality")
         fronts = [
             [(1.0, 1.0), (0.0, 3.0)],  # (1,1) beaten by (2,2); (0,3) survives
             [(2.0, 2.0)],
         ]
-        assert score_action_sets(fronts, ev) == [1.0, 1.0]
+        assert score_action_sets(fronts, "cardinality") == [1.0, 1.0]
 
     def test_pareto_contribution_flags(self):
-        ev = SetEvaluation("pareto")
         fronts = [[(1.0, 1.0)], [(2.0, 2.0)], []]
-        assert score_action_sets(fronts, ev) == [0.0, 1.0, 0.0]
+        assert score_action_sets(fronts, "pareto") == [0.0, 1.0, 0.0]
 
     def test_sibling_context_via_single_call(self):
-        ev = SetEvaluation("cardinality")
-        assert score_action_sets([[(1.0, 1.0)], [(2.0, 2.0)]], ev)[0] == 0.0
-        assert score_action_sets([[(1.0, 1.0)]], ev) == [1.0]
+        assert score_action_sets([[(1.0, 1.0)], [(2.0, 2.0)]], "cardinality")[0] == 0.0
+        assert score_action_sets([[(1.0, 1.0)]], "cardinality") == [1.0]
+
+    def test_hypervolume_is_not_scored_jointly(self):
+        with pytest.raises(ValueError, match="no joint scoring"):
+            score_action_sets([[(1.0, 1.0)]], "hypervolume")
 
 
 class TestAct:

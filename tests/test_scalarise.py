@@ -7,58 +7,87 @@ from hypothesis import strategies as st
 
 from morlbench.scalarise import (
     UtopianTracker,
-    chebyshev_scalarise,
+    action_scores,
+    best_index,
     check_weights,
     greedy_action,
-    linear_scalarise,
 )
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
 
+def linear_score(q, w):
+    return action_scores("linear", [q], w)[0]
+
+
+def chebyshev_distance(q, w, z):
+    """Weighted Chebyshev distance to ``z``: the negated action score."""
+    return -action_scores("chebyshev", [q], w, z)[0]
+
+
 class TestLinear:
     def test_corner_weight_selects_component(self):
-        assert linear_scalarise((7.0, 3.0), (1.0, 0.0)) == 7.0
+        assert linear_score((7.0, 3.0), (1.0, 0.0)) == 7.0
 
     def test_even_weights(self):
-        assert linear_scalarise((2.0, 4.0), (0.5, 0.5)) == 3.0
+        assert linear_score((2.0, 4.0), (0.5, 0.5)) == 3.0
 
     def test_mixed_signs(self):
-        assert linear_scalarise((10.0, -10.0), (0.3, 0.7)) == pytest.approx(-4.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            linear_scalarise((1.0, 2.0), (1.0,))
+        assert linear_score((10.0, -10.0), (0.3, 0.7)) == pytest.approx(-4.0)
 
     @given(st.tuples(finite, finite), st.tuples(finite, finite), finite, finite)
     @settings(max_examples=60)
     def test_linearity(self, q1, q2, a, b):
         w = (0.3, 0.7)
         combo = tuple(a * x + b * y for x, y in zip(q1, q2))
-        expected = a * linear_scalarise(q1, w) + b * linear_scalarise(q2, w)
-        assert linear_scalarise(combo, w) == pytest.approx(expected, rel=1e-9, abs=1e-6)
+        expected = a * linear_score(q1, w) + b * linear_score(q2, w)
+        assert linear_score(combo, w) == pytest.approx(expected, rel=1e-9, abs=1e-6)
 
 
 class TestChebyshev:
     def test_basic(self):
-        assert chebyshev_scalarise((2.0, 4.0), (0.5, 0.5), (5.0, 5.0)) == 1.5
+        assert chebyshev_distance((2.0, 4.0), (0.5, 0.5), (5.0, 5.0)) == 1.5
 
     def test_zero_at_utopia(self):
-        assert chebyshev_scalarise((5.0, 5.0), (0.3, 0.7), (5.0, 5.0)) == 0.0
+        assert chebyshev_distance((5.0, 5.0), (0.3, 0.7), (5.0, 5.0)) == 0.0
 
     def test_weight_masks_objective(self):
-        assert chebyshev_scalarise((0.0, 0.0), (1.0, 0.0), (3.0, 100.0)) == 3.0
+        assert chebyshev_distance((0.0, 0.0), (1.0, 0.0), (3.0, 100.0)) == 3.0
 
     def test_non_negative(self):
         rng = random.Random(5)
         for _ in range(200):
             q = (rng.uniform(-50, 50), rng.uniform(-50, 50))
             z = (rng.uniform(-50, 50), rng.uniform(-50, 50))
-            assert chebyshev_scalarise(q, (0.4, 0.6), z) >= 0.0
+            assert chebyshev_distance(q, (0.4, 0.6), z) >= 0.0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            chebyshev_scalarise((1.0, 2.0), (0.5, 0.5), (1.0,))
+
+class TestActionScores:
+    def test_one_score_per_action(self):
+        qrow = [(1.0, 2.0), (3.0, 0.0), (0.0, 0.0)]
+        assert action_scores("linear", qrow, (0.5, 0.5)) == [1.5, 1.5, 0.0]
+        assert action_scores("chebyshev", qrow, (0.5, 0.5), (3.0, 2.0)) == [-1.0, -1.0, -1.5]
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown scalariser"):
+            action_scores("exponential", [(1.0, 1.0)], (0.5, 0.5))
+
+
+class TestBestIndex:
+    def test_unique_best_draws_nothing(self):
+        rng = random.Random(4)
+        state = rng.getstate()
+        assert best_index([1.0, 3.0, 2.0], rng) == 1
+        assert rng.getstate() == state
+
+    def test_without_rng_first_tie_wins(self):
+        assert best_index([0.0, 2.0, -1.0, 2.0], None) == 1
+        assert best_index([-0.0, 0.0], None) == 0
+
+    def test_ties_drawn_from_rng(self):
+        rng = random.Random(8)
+        seen = {best_index([2.0, 0.0, 2.0, 2.0], rng) for _ in range(200)}
+        assert seen == {0, 2, 3}
 
 
 class TestWeights:
@@ -157,11 +186,11 @@ class TestGreedyAction:
             qrow = [tuple(rng.uniform(-5, 5) for _ in range(2)) for _ in range(4)]
             w = (0.4, 0.6)
             a_lin = greedy_action("linear", qrow, w, rng=rng)
-            assert linear_scalarise(qrow[a_lin], w) == max(linear_scalarise(q, w) for q in qrow)
+            assert linear_score(qrow[a_lin], w) == max(linear_score(q, w) for q in qrow)
             z = (6.0, 6.0)
             a_che = greedy_action("chebyshev", qrow, w, z, rng=rng)
-            assert chebyshev_scalarise(qrow[a_che], w, z) == min(
-                chebyshev_scalarise(q, w, z) for q in qrow
+            assert chebyshev_distance(qrow[a_che], w, z) == min(
+                chebyshev_distance(q, w, z) for q in qrow
             )
 
     def test_linear_invariant_under_constant_shift(self):
@@ -173,10 +202,10 @@ class TestGreedyAction:
             w = (0.5, 0.5)
             seed = rng.randint(0, 10_000)
             a1 = greedy_action("linear", qrow, w, rng=random.Random(seed))
-            scores = [linear_scalarise(q, w) for q in shifted]
+            scores = [linear_score(q, w) for q in shifted]
             # compare winning scores rather than indices: float shift can
             # split exact ties
-            assert linear_scalarise(shifted[a1], w) == pytest.approx(max(scores), abs=1e-9)
+            assert linear_score(shifted[a1], w) == pytest.approx(max(scores), abs=1e-9)
 
     def test_chebyshev_invariant_under_joint_translation(self):
         rng = random.Random(34)
@@ -194,8 +223,8 @@ class TestGreedyAction:
 
 
 def test_chebyshev_zero_iff_all_terms_zero():
-    assert chebyshev_scalarise((1.0, 5.0), (0.0, 1.0), (3.0, 5.0)) == 0.0
-    assert chebyshev_scalarise((1.0, 5.0), (0.5, 0.5), (3.0, 5.0)) > 0.0
+    assert chebyshev_distance((1.0, 5.0), (0.0, 1.0), (3.0, 5.0)) == 0.0
+    assert chebyshev_distance((1.0, 5.0), (0.5, 0.5), (3.0, 5.0)) > 0.0
 
 
 def test_tracker_starts_unbounded():
