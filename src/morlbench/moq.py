@@ -20,8 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .scalarise import SCALARISERS, UtopianTracker, check_weights, greedy_action
 
 
@@ -129,10 +127,11 @@ class MoqAgent:
 
     def greedy(self, state: int, rng: random.Random | None = None) -> int:
         """Pure greedy choice for evaluation; leaves agent state untouched
-        apart from the tie-break draws on ``rng``."""
+        apart from the tie-break draws on ``rng``. With ``rng=None`` it
+        takes the first tied action and draws nothing."""
         row = self.qtable.row(state)
         z = self.utopian.z if self._chebyshev else None
-        return greedy_action(self.mode, row, self.weights, z, rng=rng or self.rng)
+        return greedy_action(self.mode, row, self.weights, z, rng=rng)
 
     def update(self, state: int, action: int, reward, next_state: int, terminated: bool) -> None:
         """Per-objective TD update; terminal transitions bootstrap zero."""
@@ -152,6 +151,8 @@ class MoqAgent:
 
 def derive_streams(seed: int, n: int = 2) -> list[random.Random]:
     """Independent rng streams from one run seed (training, evaluation, ...)."""
+    import numpy as np  # imported here: `metrics` and `plotdata` never need it
+
     states = np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
     return [random.Random(int(s)) for s in states]
 

@@ -17,9 +17,14 @@ objects that can be shared between threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 Point = tuple[float, ...]
+
+_second = itemgetter(1)
 
 __all__ = [
     "Point",
@@ -150,30 +155,53 @@ def _clip(p: Point, ref: Point) -> Point:
     return tuple(x if x > r else r for x, r in zip(p, ref))
 
 
+def _staircase_area(stairs: Iterable[tuple[float, float]], rx: float, ry: float) -> float:
+    # stairs run in descending x; a point adds area only when it rises
+    # above every point before it, so dominated points add nothing.
+    area = 0.0
+    y_cover = ry
+    for x, y in stairs:
+        if y > y_cover:
+            area += (x - rx) * (y - y_cover)
+            y_cover = y
+    return area
+
+
 def _hv_2d(points: Iterable[Point], ref: Point) -> float:
     rx, ry = ref
     pts = sorted([(x if x > rx else rx, y if y > ry else ry) for x, y in points], reverse=True)
-    hv = 0.0
-    y_cover = ry
-    for x, y in pts:
-        if y > y_cover:
-            hv += (x - rx) * (y - y_cover)
-            y_cover = y
-    return hv
+    return _staircase_area(pts, rx, ry)
 
 
 def _hv_3d(points: Sequence[Point], ref: Point) -> float:
-    # Exact slab decomposition: sweep the third objective downwards and
-    # integrate the 2-D hypervolume of the accumulated projections.
+    # Sweep the third objective downwards (Beume et al. 2009) and keep the
+    # 2-D non-dominated projections seen so far as a staircase: x strictly
+    # descending, y strictly ascending. Each slab's area is summed afresh
+    # over the staircase, which adds exactly the terms, in the same order,
+    # that a 2-D sweep over all projections seen so far would add; a
+    # running area updated point by point would round differently.
+    rx, ry, rz = ref
     pts = sorted((_clip(p, ref) for p in points), key=lambda p: -p[2])
+    stairs: list[tuple[float, float]] = []
     hv = 0.0
-    seen: list[Point] = []
-    for i, p in enumerate(pts):
-        seen.append((p[0], p[1]))
-        z_low = pts[i + 1][2] if i + 1 < len(pts) else ref[2]
-        height = p[2] - z_low
+    last = len(pts) - 1
+    for i, (x, y, z) in enumerate(pts):
+        # stairs[:j] are no higher than (x, y) and stairs[j:] are higher;
+        # only stairs[j - 1] can be as high.
+        j = bisect_right(stairs, y, key=_second)
+        covered = (j < len(stairs) and stairs[j][0] >= x) or (
+            j and stairs[j - 1][1] == y and stairs[j - 1][0] >= x
+        )
+        if not covered:
+            # Of stairs[:j], the ones it weakly dominates are the run at
+            # the end that lies no further right.
+            k = j
+            while k and stairs[k - 1][0] <= x:
+                k -= 1
+            stairs[k:j] = ((x, y),)
+        height = z - (pts[i + 1][2] if i < last else rz)
         if height > 0.0:
-            hv += _hv_2d(seen, (ref[0], ref[1])) * height
+            hv += _staircase_area(stairs, rx, ry) * height
     return hv
 
 
@@ -187,8 +215,13 @@ def hypervolume(points: Sequence[Point], ref: Point) -> float:
     are poor.
 
     Supports 2 and 3 objectives; ``ref`` decides which. An empty set has
-    hypervolume 0. Set-based action scoring calls this once per action per
-    step, so ``ref`` is trusted to be finite and of the points' dimension:
+    hypervolume 0. Two objectives cost one sort and one sweep, O(n log n).
+    Three objectives sweep the third objective downwards over a staircase
+    of the 2-D non-dominated projections seen so far, placing each point
+    by binary search and summing each slab over the staircase: O(n * s)
+    for a staircase of at most s points, so O(n^2) at worst.
+    Pareto Q-Learning scores every pair's Q-set with this on each update,
+    so ``ref`` is trusted to be finite and of the points' dimension:
     callers validate it where it enters the program.
     """
     if not points:
@@ -269,7 +302,7 @@ def igd(approx: ParetoArchive, truth: ParetoArchive) -> float:
         raise ValueError(f"dimension mismatch: {approx.dimension} vs {truth.dimension}")
     total = 0.0
     for z in truth.points:
-        total += min(math.dist(z, a) for a in approx.points)
+        total += min(map(math.dist, repeat(z), approx.points))
     return total / len(truth.points)
 
 

@@ -24,8 +24,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import moq, pql
 from .envs import REFERENCE_POINTS, DeepSeaTreasure, make_env
 from .moq import EpsilonSchedule, MoqConfig
@@ -161,7 +159,8 @@ def evaluate_policy(env, agent, gamma: float, max_steps: int | None = None, rng=
 
     The rollout is truncated at ``max_steps`` (defaults to the
     environment's episode cap); a non-terminating greedy policy simply
-    yields its truncated return.
+    yields its truncated return. Tied greedy actions are broken by draws
+    on ``rng``; with ``rng=None`` the first tied action is taken.
     """
     limit = max_steps if max_steps is not None else env.max_episode_steps
     state = env.reset()
@@ -220,6 +219,8 @@ def aggregate_seeds(
 
 
 def _substream_seed(trial_seed: int, config_index: int) -> int:
+    import numpy as np  # imported here: `metrics` and `plotdata` never need it
+
     ss = np.random.SeedSequence(trial_seed, spawn_key=(config_index,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -268,6 +269,8 @@ def _run_items(cfg: SweepConfig, items: list[tuple]):
     """
     if cfg.workers <= 1 or len(items) <= 1:
         return [_run_item(*item) for item in items]
+    import numpy  # items seed their streams with it: import it once, before forking
+
     with ProcessPoolExecutor(max_workers=min(cfg.workers, len(items))) as pool:
         futures = [pool.submit(_run_item, *item) for item in items]
         return [f.result() for f in futures]

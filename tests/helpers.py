@@ -1,10 +1,10 @@
 """Independent oracles and hand-built MDPs used across the test suite.
 
 Everything here deliberately avoids the library's algorithms: dominance by
-quadratic pairwise scan, hypervolume by Monte-Carlo box sampling, fronts by
-exhaustive path enumeration, Pareto Q-Learning's Q-sets rebuilt from
-scratch on every read, and plain scalar Q-learning as the single-objective
-reference.
+quadratic pairwise scan, hypervolume by Monte-Carlo box sampling and by a
+3-D slab sweep that re-sorts every slab, fronts by exhaustive path
+enumeration, Pareto Q-Learning's Q-sets rebuilt from scratch on every read,
+and plain scalar Q-learning as the single-objective reference.
 """
 
 from __future__ import annotations
@@ -42,6 +42,34 @@ def monte_carlo_hypervolume(points, ref, samples, rng):
     p_hat = hits / samples
     stderr = box * (p_hat * (1.0 - p_hat) / samples) ** 0.5
     return box * p_hat, stderr
+
+
+def reference_hv_3d(points, ref):
+    """3-D hypervolume by slab decomposition, re-sorting every slab.
+
+    Sweeps the third objective downwards and, for each slab of positive
+    height, sums the 2-D area of all projections seen so far with a fresh
+    sort and sweep: O(n^2 log n). Adds the same terms in the same order as
+    the library's staircase sweep, so results must be equal bit for bit.
+    """
+    rx, ry, rz = ref
+    pts = sorted((tuple(x if x > r else r for x, r in zip(p, ref)) for p in points),
+                 key=lambda p: -p[2])
+    hv = 0.0
+    seen = []
+    for i, p in enumerate(pts):
+        seen.append((p[0], p[1]))
+        z_low = pts[i + 1][2] if i + 1 < len(pts) else rz
+        height = p[2] - z_low
+        if height > 0.0:
+            area = 0.0
+            y_cover = ry
+            for x, y in sorted(seen, reverse=True):
+                if y > y_cover:
+                    area += (x - rx) * (y - y_cover)
+                    y_cover = y
+            hv += area * height
+    return hv
 
 
 def reference_q_set(mean, future, gamma):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -279,6 +282,25 @@ class TestMetrics:
 
     def test_missing_file(self, tmp_path):
         assert run_cli("metrics", str(tmp_path / "nope.points"), "--ref", "0,0") == 2
+
+    def test_scoring_never_imports_numpy(self, tmp_path, out_dir):
+        path = tmp_path / "f3.points"
+        save_points(path, ParetoArchive([(1.0, 2.0, 3.0), (3.0, 2.0, 1.0)]))
+        assert run_cli(*_train_args(out_dir)) == 0
+        script = (
+            "import sys\n"
+            "from morlbench.cli import main\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            f"assert main(['metrics', {str(path)!r}, '--truth', {str(path)!r}, '--ref=-1,-1,-1']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'metrics'\n"
+            f"assert main(['plotdata', {str(out_dir / 'smoke')!r}]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'plotdata'\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "hypervolume = 36" in proc.stdout
 
     def test_round_trip_front_files(self, tmp_path):
         front = make_env("dst-concave").true_front(0.9)

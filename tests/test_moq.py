@@ -159,6 +159,13 @@ class TestTrain:
         point = evaluate_policy(env.fork(), agent, 0.9, rng=random.Random(0))
         assert len(point) == 2
 
+    def test_evaluation_without_rng_leaves_training_stream(self):
+        env = make_env("dst-concave")
+        agent = MoqAgent(env.spec, MoqConfig(weights=(0.5, 0.5)), random.Random(4))
+        before = agent.rng.getstate()
+        evaluate_policy(env.fork(), agent, 0.9)
+        assert agent.rng.getstate() == before
+
     def test_reproducible_bitwise(self):
         env = make_env("dst-concave")
         cfg = MoqConfig(weights=(0.5, 0.5), total_timesteps=10_000)

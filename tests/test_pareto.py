@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_nondominated, monte_carlo_hypervolume
+from helpers import brute_force_nondominated, monte_carlo_hypervolume, reference_hv_3d
 from morlbench.pareto import (
     ParetoArchive,
     cardinality,
@@ -164,6 +164,51 @@ class TestHypervolume:
                 assert hypervolume(front, ref) == pytest.approx(
                     hypervolume_inclusion_exclusion(front, ref), abs=1e-9
                 )
+
+    @pytest.mark.parametrize("ref", [(-1.0, -1.0, -1.0), (0.0, 0.5, -0.5)])
+    def test_3d_staircase_bitwise_equals_slab_reference(self, ref):
+        # signed zeros, duplicate points, shared coordinates and points
+        # below the reference, as plain lists and as archives
+        rng = random.Random(23)
+        coords = [0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -0.5]
+        for trial in range(600):
+            if trial % 3 == 0:
+                pts = [tuple(rng.choice(coords) for _ in range(3)) for _ in range(rng.randint(1, 30))]
+            elif trial % 3 == 1:
+                pts = [tuple(round(rng.uniform(-2.0, 3.0), 1) for _ in range(3))
+                       for _ in range(rng.randint(1, 30))]
+            else:
+                pts = [(rng.choice(coords), rng.uniform(-1.0, 2.0), rng.choice(coords))
+                       for _ in range(rng.randint(1, 30))]
+            pts += rng.choices(pts, k=rng.randint(0, 3))
+            expected = repr(reference_hv_3d(pts, ref))
+            assert repr(hypervolume(pts, ref)) == expected, pts
+            front = ParetoArchive(pts)
+            assert repr(hypervolume(front, ref)) == repr(reference_hv_3d(front.points, ref)), pts
+
+    def test_3d_sphere_front_bitwise_equals_slab_reference(self):
+        rng = random.Random(29)
+        pts = []
+        for _ in range(1500):
+            v = [abs(rng.gauss(0.0, 1.0)) for _ in range(3)]
+            norm = math.sqrt(sum(c * c for c in v))
+            pts.append(tuple(c / norm for c in v))
+        ref = (-1.0, -1.0, -1.0)
+        expected = repr(reference_hv_3d(pts, ref))
+        assert repr(hypervolume(pts, ref)) == expected
+        front = ParetoArchive(pts)
+        assert repr(hypervolume(front, ref)) == repr(reference_hv_3d(front.points, ref))
+
+    def test_3d_full_staircase_bitwise_equals_slab_reference(self):
+        # (i, n - i) projections never dominate each other, so the
+        # staircase grows to n points
+        rng = random.Random(31)
+        n = 1500
+        pts = [(float(i), float(n - i), rng.random()) for i in range(n)]
+        ref = (-1.0, -1.0, -1.0)
+        assert repr(hypervolume(pts, ref)) == repr(reference_hv_3d(pts, ref))
+        front = ParetoArchive(pts)
+        assert repr(hypervolume(front, ref)) == repr(reference_hv_3d(front.points, ref))
 
     def test_3d_monte_carlo_agreement(self):
         rng = random.Random(19)
