@@ -5,11 +5,14 @@ objective, and selects actions by scalarising the current state's Q-row
 (weighted sum or Chebyshev distance to a tracked utopian point). Updates
 are per-objective temporal-difference steps that all bootstrap on the same
 scalarised-greedy next action, so the table estimates the return vector of
-the scalarised-greedy policy. Acting and bootstrapping score actions the
-same way (:func:`~morlbench.scalarise.greedy_action`) and differ only in
-how exact ties are broken: acting draws from the agent's rng stream, while
-the bootstrap takes the first tied action and draws nothing, so updates
-never move the stream.
+the scalarised-greedy policy. Acting, bootstrapping and evaluation take
+:func:`~morlbench.scalarise.best_index` of the same per-state action scores
+and differ only in how exact ties are broken: acting draws from the agent's
+rng stream, while the bootstrap takes the first tied action and draws
+nothing, so updates never move the stream. The scores are kept per state
+and equal :func:`~morlbench.scalarise.action_scores` of the current row bit
+for bit: a linear update rewrites its one entry, while a Chebyshev update
+drops its state's scores and a rise of the utopian point drops them all.
 
 Run many instances under different weight vectors (see
 :mod:`morlbench.sweep`) to approximate a Pareto front outer-loop style.
@@ -19,8 +22,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import mul
 
-from .scalarise import SCALARISERS, UtopianTracker, check_weights, greedy_action
+from .scalarise import SCALARISERS, UtopianTracker, action_scores, best_index, check_weights
 
 
 @dataclass(frozen=True)
@@ -111,27 +115,33 @@ class MoqAgent:
         self.action_count = spec.action_count
         self.utopian = UtopianTracker(spec.num_objectives, config.tau)
         self._chebyshev = config.scalariser == "chebyshev"
+        self._scores: dict[int, list[float]] = {}
+
+    def _scores_of(self, state: int) -> list[float]:
+        """The state's stored action scores, rescored only on the first
+        read after they were dropped; callers must not mutate the list."""
+        scores = self._scores.get(state)
+        if scores is None:
+            z = self.utopian.z if self._chebyshev else None
+            scores = action_scores(self.mode, self.qtable.row(state), self.weights, z)
+            self._scores[state] = scores
+        return scores
 
     def act(self, state: int, epsilon: float) -> int:
         """Epsilon-greedy action; folds the state's Q-row into the utopian
         tracker before selecting (Chebyshev only)."""
-        row = self.qtable.row(state)
-        z = None
-        if self._chebyshev:
-            self.utopian.observe_row(row)
-            z = self.utopian.z
+        if self._chebyshev and self.utopian.observe_row(self.qtable.row(state)):
+            self._scores.clear()
         rng = self.rng
         if epsilon > 0.0 and rng.random() < epsilon:
             return rng.randrange(self.action_count)
-        return greedy_action(self.mode, row, self.weights, z, rng=rng)
+        return best_index(self._scores_of(state), rng)
 
     def greedy(self, state: int, rng: random.Random | None = None) -> int:
         """Pure greedy choice for evaluation; leaves agent state untouched
         apart from the tie-break draws on ``rng``. With ``rng=None`` it
         takes the first tied action and draws nothing."""
-        row = self.qtable.row(state)
-        z = self.utopian.z if self._chebyshev else None
-        return greedy_action(self.mode, row, self.weights, z, rng=rng)
+        return best_index(self._scores_of(state), rng)
 
     def update(self, state: int, action: int, reward, next_state: int, terminated: bool) -> None:
         """Per-objective TD update; terminal transitions bootstrap zero."""
@@ -140,13 +150,17 @@ class MoqAgent:
         if terminated:
             for o, r_o in enumerate(reward):
                 q[o] += alpha * (r_o - q[o])
-            return
-        next_row = self.qtable.row(next_state)
-        z = self.utopian.z if self._chebyshev else None
-        q_next = next_row[greedy_action(self.mode, next_row, self.weights, z, rng=None)]
-        gamma = self.config.gamma
-        for o, r_o in enumerate(reward):
-            q[o] += alpha * (r_o + gamma * q_next[o] - q[o])
+        else:
+            q_next = self.qtable.row(next_state)[best_index(self._scores_of(next_state), None)]
+            gamma = self.config.gamma
+            for o, r_o in enumerate(reward):
+                q[o] += alpha * (r_o + gamma * q_next[o] - q[o])
+        if self._chebyshev:
+            self._scores.pop(state, None)
+        else:
+            scores = self._scores.get(state)
+            if scores is not None:
+                scores[action] = sum(map(mul, self.weights, q))
 
 
 def derive_streams(seed: int, n: int = 2) -> list[random.Random]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
@@ -89,9 +90,33 @@ def write_manifest(run_dir: Path, result: SweepResult) -> None:
 
 
 def write_sweep(result: SweepResult, root: Path) -> Path:
-    """Persist a sweep result; returns the run directory."""
+    """Persist a sweep result; returns the run directory.
+
+    The run is built in a hidden sibling directory and renamed into place
+    only once complete, replacing any earlier run of the same name as a
+    whole: an interrupted write leaves no run directory, and a rerun never
+    mixes with the files of an older one.
+    """
     run_dir = root / result.config.run_name
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir.parent.mkdir(parents=True, exist_ok=True)
+    partial = run_dir.with_name(f".{run_dir.name}.partial-{os.getpid()}")
+    old = run_dir.with_name(f".{run_dir.name}.old-{os.getpid()}")
+    for leftover in (partial, old):  # left by a killed process that had this pid
+        shutil.rmtree(leftover, ignore_errors=True)
+    try:
+        _write_run(partial, result)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
+    if run_dir.exists():
+        run_dir.rename(old)
+    partial.rename(run_dir)
+    shutil.rmtree(old, ignore_errors=True)
+    return run_dir
+
+
+def _write_run(run_dir: Path, result: SweepResult) -> None:
+    run_dir.mkdir()
     for run in result.runs:
         seed_dir = run_dir / f"seed_{run.seed}"
         fronts_dir = seed_dir / "fronts"
@@ -105,7 +130,6 @@ def write_sweep(result: SweepResult, root: Path) -> Path:
     rows = [row for m, s in zip(result.mean, result.sd) for row in (("mean", m), ("sd", s))]
     (agg_dir / "metrics.csv").write_text(metrics_csv(rows, result.algorithm, result.environment), "utf-8")
     write_manifest(run_dir, result)
-    return run_dir
 
 
 def _curve_csv(rows: list[dict], sd_rows: list[dict] | None, metric: str) -> str:

@@ -91,31 +91,19 @@ class UtopianTracker:
         self.best = [-math.inf] * dimension
         self.tau = tau
 
-    def observe_row(self, qrow: Sequence[Sequence[float]]) -> None:
-        """Fold every action's Q-vector of a state row into the tracker."""
+    def observe_row(self, qrow: Sequence[Sequence[float]]) -> bool:
+        """Fold every action's Q-vector of a state row into the tracker;
+        returns whether any best value rose, that is whether ``z`` moved."""
         best = self.best
+        rose = False
         for q in qrow:
             for o, value in enumerate(q):
                 if value > best[o]:
                     best[o] = value
+                    rose = True
+        return rose
 
     @property
     def z(self) -> tuple[float, ...]:
         return tuple(b + self.tau for b in self.best)
 
-
-def greedy_action(
-    mode: str,
-    qrow: Sequence[Sequence[float]],
-    w: Sequence[float],
-    z: Sequence[float] | None = None,
-    *,
-    rng: random.Random | None,
-) -> int:
-    """Index of the greedily-best action for one state's Q-row.
-
-    Linear selection maximises the weighted sum; Chebyshev selection
-    minimises the weighted distance to utopia. Ties are broken as in
-    :func:`best_index`: at random with ``rng``, by first index without.
-    """
-    return best_index(action_scores(mode, qrow, w, z), rng)

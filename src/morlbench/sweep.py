@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import PurePath
 
 from . import moq, pql
 from .envs import REFERENCE_POINTS, DeepSeaTreasure, make_env
@@ -81,6 +82,10 @@ class SweepConfig:
             raise ValueError(f"max_configs must be >= 1, got {self.max_configs}")
         if self.max_episode_steps < 1:
             raise ValueError(f"max_episode_steps must be >= 1, got {self.max_episode_steps}")
+        # the run directory is replaced as a whole, so it must lie inside the results root
+        name = PurePath(self.name or "run")
+        if name.is_absolute() or not name.parts or ".." in name.parts:
+            raise ValueError(f"run name {self.name!r} must be a directory inside the results directory")
 
     @property
     def algorithm_label(self) -> str:

@@ -4,12 +4,15 @@ Everything here deliberately avoids the library's algorithms: dominance by
 quadratic pairwise scan, hypervolume by Monte-Carlo box sampling and by a
 3-D slab sweep that re-sorts every slab, fronts by exhaustive path
 enumeration, Pareto Q-Learning's Q-sets rebuilt from scratch on every read,
-and plain scalar Q-learning as the single-objective reference.
+MO Q-Learning rescoring the whole Q-row on every read, and plain scalar
+Q-learning as the single-objective reference.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from operator import mul, sub
 
 from morlbench.envs.base import EnvSpec, StepOutcome
 
@@ -108,6 +111,65 @@ def reference_pql(transitions, action_count, gamma):
             )
         table[(state, action)] = (count, mean, future)
     return table
+
+
+class ReferenceMoqAgent:
+    """MO Q-Learning that rescalarises the whole Q-row on every read.
+
+    A drop-in for ``MoqAgent`` under ``moq.train``: the same float
+    expressions, tie-breaks and rng draws, but no stored scores, so training
+    with it must match the library agent bit for bit. ``rows`` is the
+    Q-table; ``best`` holds the utopian tracker's per-objective maxima.
+    """
+
+    def __init__(self, spec, config, rng):
+        self.config = config
+        self.rng = rng
+        self.action_count = spec.action_count
+        self.num_objectives = spec.num_objectives
+        self.rows = {}
+        self.best = [-math.inf] * spec.num_objectives
+
+    def row(self, state):
+        r = self.rows.get(state)
+        if r is None:
+            r = [[0.0] * self.num_objectives for _ in range(self.action_count)]
+            self.rows[state] = r
+        return r
+
+    def pick(self, state, rng):
+        w = self.config.weights
+        if self.config.scalariser == "linear":
+            scores = [sum(map(mul, w, q)) for q in self.row(state)]
+        else:
+            z = [b + self.config.tau for b in self.best]
+            scores = [-max(map(mul, w, map(abs, map(sub, q, z)))) for q in self.row(state)]
+        best = max(scores)
+        ties = [i for i, s in enumerate(scores) if s == best]
+        return ties[0] if rng is None or len(ties) == 1 else ties[rng.randrange(len(ties))]
+
+    def act(self, state, epsilon):
+        if self.config.scalariser == "chebyshev":
+            for q in self.row(state):
+                self.best = [v if v > b else b for b, v in zip(self.best, q)]
+        if epsilon > 0.0 and self.rng.random() < epsilon:
+            return self.rng.randrange(self.action_count)
+        return self.pick(state, self.rng)
+
+    def greedy(self, state, rng=None):
+        return self.pick(state, rng)
+
+    def update(self, state, action, reward, next_state, terminated):
+        q = self.row(state)[action]
+        alpha = self.config.alpha
+        if terminated:
+            for o, r_o in enumerate(reward):
+                q[o] += alpha * (r_o - q[o])
+            return
+        q_next = self.row(next_state)[self.pick(next_state, None)]
+        gamma = self.config.gamma
+        for o, r_o in enumerate(reward):
+            q[o] += alpha * (r_o + gamma * q_next[o] - q[o])
 
 
 class TabularMdp:

@@ -220,6 +220,41 @@ class TestSweep:
         csv_b = (tmp_path / "b" / "d" / "aggregate" / "metrics.csv").read_bytes()
         assert csv_a == csv_b
 
+    def test_rerun_replaces_old_run_whole(self, out_dir):
+        args = ("sweep", "--env", "dst-concave", "--algo", "pql", "--steps", "300",
+                "--eval-interval", "100", "--out", str(out_dir), "--name", "r")
+        assert run_cli(*args, "--seeds", "1..3") == 0
+        (out_dir / "r" / "seed_2" / "fronts" / "stale.points").write_text("1,1\n", "utf-8")
+        assert run_cli(*args, "--seeds", "2", "--steps", "200") == 0
+        run = out_dir / "r"
+        assert sorted(p.name for p in run.iterdir()) == ["aggregate", "manifest.json", "seed_2"]
+        assert sorted(p.name for p in (run / "seed_2" / "fronts").iterdir()) == ["100.points", "200.points"]
+        assert [p.name for p in out_dir.iterdir()] == ["r"]
+
+    def test_failed_write_leaves_no_run_directory(self, out_dir, monkeypatch, capsys):
+        from morlbench import results
+
+        def broken(*args):
+            raise RuntimeError("disk full")
+
+        args = ("sweep", "--env", "dst-concave", "--algo", "pql", "--steps", "200",
+                "--seeds", "1,2", "--out", str(out_dir), "--name", "r")
+        monkeypatch.setattr(results, "write_manifest", broken)
+        assert run_cli(*args) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("name", [".", "..", "../x", "a/../../b"])
+    def test_run_name_outside_results_rejected(self, tmp_path, capsys, name):
+        out = tmp_path / "root" / "runs"
+        code = run_cli(
+            "sweep", "--env", "dst-concave", "--algo", "pql", "--steps", "200",
+            "--out", str(out), "--name", name,
+        )
+        assert code == 2
+        assert f"run name {name!r} must be a directory inside" in capsys.readouterr().err
+        assert not (tmp_path / "root").exists()
+
     def test_results_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MORL_RESULTS_DIR", str(tmp_path / "env-root"))
         assert run_cli(

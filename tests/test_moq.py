@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import TabularMdp, scalar_q_learning
+from helpers import ReferenceMoqAgent, TabularMdp, scalar_q_learning
+from morlbench import moq
 from morlbench.envs import EnvSpec, make_env
 from morlbench.moq import (
     EpsilonSchedule,
@@ -13,6 +14,7 @@ from morlbench.moq import (
     train,
 )
 from morlbench.pareto import dominates
+from morlbench.scalarise import action_scores
 from morlbench.sweep import evaluate_policy
 
 DOWN = 1
@@ -207,6 +209,59 @@ class TestTrain:
         cfg = MoqConfig(weights=(1.0, 0.0), total_timesteps=2_500)
         _, timeline = train(env, cfg, seed=3, eval_interval=1000)
         assert [t for t, _ in timeline] == [1000, 2000, 2500]
+
+
+# (environment, weight vectors, training steps) for the score-cache checks
+CACHE_CASES = [
+    pytest.param("dst-concave", [(0.5, 0.5), (0.9, 0.1), (0.0, 1.0)], 20_000, id="dst"),
+    pytest.param(
+        "four-room", [(1 / 3, 1 / 3, 1 / 3), (0.8, 0.1, 0.1), (0.0, 0.0, 1.0)], 10_000, id="four-room"
+    ),
+]
+
+
+def hexes(values):
+    return [float.hex(v) for v in values]
+
+
+class TestScoreCache:
+    @pytest.mark.parametrize("scalariser", ["linear", "chebyshev"])
+    @pytest.mark.parametrize("env_name, weights, steps", CACHE_CASES)
+    def test_training_matches_uncached_reference(self, monkeypatch, env_name, weights, steps, scalariser):
+        for w in weights:
+            cfg = MoqConfig(weights=w, scalariser=scalariser, total_timesteps=steps)
+            agent, timeline = train(make_env(env_name), cfg, seed=17, eval_interval=1000)
+            with monkeypatch.context() as m:
+                m.setattr(moq, "MoqAgent", ReferenceMoqAgent)
+                reference, ref_timeline = train(make_env(env_name), cfg, seed=17, eval_interval=1000)
+            assert timeline == ref_timeline
+            assert agent.qtable._rows == reference.rows
+            assert agent.rng.getstate() == reference.rng.getstate()
+            assert agent.utopian.best == reference.best
+
+    @pytest.mark.parametrize("scalariser", ["linear", "chebyshev"])
+    @pytest.mark.parametrize("env_name, weights, steps", CACHE_CASES)
+    def test_cached_scores_equal_rescoring(self, env_name, weights, steps, scalariser):
+        for w in weights:
+            cfg = MoqConfig(weights=w, scalariser=scalariser, total_timesteps=steps)
+            agent, _ = train(make_env(env_name), cfg, seed=23, eval_interval=1000)
+            z = agent.utopian.z if scalariser == "chebyshev" else None
+            assert agent._scores and agent._scores.keys() <= agent.qtable._rows.keys()
+            for state, scores in agent._scores.items():
+                assert hexes(scores) == hexes(action_scores(scalariser, agent.qtable.row(state), w, z))
+
+    def test_chebyshev_greedy_rescores_when_utopia_rises(self):
+        cfg = MoqConfig(weights=(0.5, 0.5), scalariser="chebyshev", tau=0.0)
+        agent = MoqAgent(dummy_spec(action_count=2), cfg, random.Random(0))
+        agent.qtable.row(0)[:] = [[1.0, 0.0], [0.0, 0.5]]
+        # utopia (1, 0.5): action 0 is closer
+        assert agent.act(0, 0.0) == 0
+        assert agent.greedy(0) == 0
+        agent.qtable.row(1)[:] = [[0.0, 5.0], [0.0, 5.0]]
+        agent.act(1, 0.0)
+        # utopia rose to (1, 5) while state 0's scores were stored: action 1 is now closer
+        assert agent.utopian.z == (1.0, 5.0)
+        assert agent.greedy(0) == 1
 
 
 class TestScalarReduction:

@@ -10,7 +10,6 @@ from morlbench.scalarise import (
     action_scores,
     best_index,
     check_weights,
-    greedy_action,
 )
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -155,20 +154,20 @@ class TestGreedyAction:
     def test_linear_corner_weight(self):
         rng = random.Random(0)
         qrow = [(5.0, 0.0), (3.0, 9.0)]
-        assert greedy_action("linear", qrow, (1.0, 0.0), rng=rng) == 0
+        assert best_index(action_scores("linear", qrow, (1.0, 0.0)), rng) == 0
 
     def test_chebyshev_prefers_closer_to_utopia(self):
         rng = random.Random(0)
         qrow = [(9.0, 9.0), (0.0, 0.0)]
-        assert greedy_action("chebyshev", qrow, (0.5, 0.5), (10.0, 10.0), rng=rng) == 0
+        assert best_index(action_scores("chebyshev", qrow, (0.5, 0.5), (10.0, 10.0)), rng) == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            greedy_action("linear", [], (1.0,), rng=random.Random(0))
+            best_index(action_scores("linear", [], (1.0,)), random.Random(0))
 
     def test_chebyshev_needs_utopia(self):
         with pytest.raises(ValueError):
-            greedy_action("chebyshev", [(1.0, 1.0)], (0.5, 0.5), rng=random.Random(0))
+            best_index(action_scores("chebyshev", [(1.0, 1.0)], (0.5, 0.5)), random.Random(0))
 
     def test_tie_break_uniform(self):
         rng = random.Random(1234)
@@ -176,7 +175,7 @@ class TestGreedyAction:
         counts = [0, 0, 0, 0]
         draws = 10_000
         for _ in range(draws):
-            counts[greedy_action("linear", qrow, (0.5, 0.5), rng=rng)] += 1
+            counts[best_index(action_scores("linear", qrow, (0.5, 0.5)), rng)] += 1
         for c in counts:
             assert abs(c / draws - 0.25) < 0.05
 
@@ -185,10 +184,10 @@ class TestGreedyAction:
         for _ in range(300):
             qrow = [tuple(rng.uniform(-5, 5) for _ in range(2)) for _ in range(4)]
             w = (0.4, 0.6)
-            a_lin = greedy_action("linear", qrow, w, rng=rng)
+            a_lin = best_index(action_scores("linear", qrow, w), rng)
             assert linear_score(qrow[a_lin], w) == max(linear_score(q, w) for q in qrow)
             z = (6.0, 6.0)
-            a_che = greedy_action("chebyshev", qrow, w, z, rng=rng)
+            a_che = best_index(action_scores("chebyshev", qrow, w, z), rng)
             assert chebyshev_distance(qrow[a_che], w, z) == min(
                 chebyshev_distance(q, w, z) for q in qrow
             )
@@ -201,7 +200,7 @@ class TestGreedyAction:
             shifted = [tuple(q + s for q, s in zip(row, shift)) for row in qrow]
             w = (0.5, 0.5)
             seed = rng.randint(0, 10_000)
-            a1 = greedy_action("linear", qrow, w, rng=random.Random(seed))
+            a1 = best_index(action_scores("linear", qrow, w), random.Random(seed))
             scores = [linear_score(q, w) for q in shifted]
             # compare winning scores rather than indices: float shift can
             # split exact ties
@@ -217,8 +216,9 @@ class TestGreedyAction:
             shifted_z = tuple(zo + s for zo, s in zip(z, shift))
             w = (0.5, 0.5)
             seed = rng.randint(0, 10_000)
-            a1 = greedy_action("chebyshev", qrow, w, z, rng=random.Random(seed))
-            a2 = greedy_action("chebyshev", shifted_rows, w, shifted_z, rng=random.Random(seed))
+            a1 = best_index(action_scores("chebyshev", qrow, w, z), random.Random(seed))
+            shifted_scores = action_scores("chebyshev", shifted_rows, w, shifted_z)
+            a2 = best_index(shifted_scores, random.Random(seed))
             assert a1 == a2
 
 
