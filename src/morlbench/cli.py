@@ -24,7 +24,7 @@ from .pareto import cardinality, hypervolume, igd, load_points, sparsity
 from .pql import SET_EVAL_MODES, CapacityError
 from .results import fmt, results_root, write_plotdata, write_sweep
 from .scalarise import SCALARISERS
-from .sweep import SweepConfig, run_sweep
+from .sweep import ALGOS, SweepConfig, run_sweep
 
 # Published per-environment settings; overridable by config file or flags.
 ENV_PRESETS: dict[str, dict] = {
@@ -205,7 +205,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
 
 def _add_agent_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--env", dest="env_id", choices=ENV_IDS, help="environment id")
-    p.add_argument("--algo", choices=("moq", "pql"), help="algorithm (default moq)")
+    p.add_argument("--algo", choices=ALGOS, help="algorithm (default moq)")
     p.add_argument("--scalariser", choices=SCALARISERS, help="MO Q-Learning scalariser")
     p.add_argument("--alpha", type=float, help="learning rate")
     p.add_argument("--gamma", type=float, help="discount factor")

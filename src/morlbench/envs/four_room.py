@@ -46,10 +46,6 @@ class FourRoom:
         r, c = pos
         return (r * self.grid.cols + c) * (1 << self.n_items) + mask
 
-    def decode(self, state: int) -> tuple[tuple[int, int], int]:
-        cell, mask = divmod(state, 1 << self.n_items)
-        return divmod(cell, self.grid.cols), mask
-
     @property
     def spec(self) -> EnvSpec:
         return EnvSpec(

@@ -193,6 +193,31 @@ def derive_streams(seed: int, n: int = 2) -> list[random.Random]:
     return [random.Random(int(s)) for s in states]
 
 
+def train_loop(env, agent, total: int, schedule: EpsilonSchedule, eval_interval: int | None, snapshot):
+    """Run ``agent`` epsilon-greedily on ``env`` for ``total`` steps; the
+    training loop of both MO Q-Learning and Pareto Q-Learning.
+
+    Every ``eval_interval`` steps, and after the last step when ``total`` is
+    not a multiple of it, ``snapshot()`` is called and its value recorded;
+    ``eval_interval=None`` records nothing. Returns the ``(timestep,
+    snapshot)`` timeline.
+    """
+    timeline = []
+    state = env.reset()
+    for t in range(1, total + 1):
+        eps = epsilon_at(schedule, t - 1, total)
+        action = agent.act(state, eps)
+        outcome = env.step(action)
+        agent.update(state, action, outcome.reward, outcome.next_state, outcome.terminated)
+        if outcome.terminated or outcome.truncated:
+            state = env.reset()
+        else:
+            state = outcome.next_state
+        if eval_interval and (t % eval_interval == 0 or t == total):
+            timeline.append((t, snapshot()))
+    return timeline
+
+
 def train(env, config: MoqConfig, seed: int, eval_interval: int | None = 1000):
     """Train one configuration for ``config.total_timesteps`` environment steps.
 
@@ -212,20 +237,8 @@ def train(env, config: MoqConfig, seed: int, eval_interval: int | None = 1000):
     train_rng, eval_rng = derive_streams(seed)
     agent = MoqAgent(env.spec, config, train_rng)
     eval_env = env.fork() if eval_interval else None
-    timeline: list[tuple[int, tuple[float, ...]]] = []
-    total = config.total_timesteps
-    schedule = config.schedule
-    state = env.reset()
-    for t in range(1, total + 1):
-        eps = epsilon_at(schedule, t - 1, total)
-        action = agent.act(state, eps)
-        outcome = env.step(action)
-        agent.update(state, action, outcome.reward, outcome.next_state, outcome.terminated)
-        if outcome.terminated or outcome.truncated:
-            state = env.reset()
-        else:
-            state = outcome.next_state
-        if eval_interval and (t % eval_interval == 0 or t == total):
-            point = evaluate_policy(eval_env, agent, config.gamma, rng=eval_rng)
-            timeline.append((t, point))
+    timeline = train_loop(
+        env, agent, config.total_timesteps, config.schedule, eval_interval,
+        lambda: evaluate_policy(eval_env, agent, config.gamma, rng=eval_rng),
+    )
     return agent, timeline

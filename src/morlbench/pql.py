@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass, field
 
 from .envs import REFERENCE_POINTS
-from .moq import EpsilonSchedule, derive_streams, epsilon_at
+from .moq import EpsilonSchedule, derive_streams, train_loop
 from .pareto import ParetoArchive, Point, dominates, hypervolume, nondominated_points
 from .scalarise import best_index
 
@@ -254,19 +254,8 @@ def train(env, config: PqlConfig, seed: int, eval_interval: int | None = 1000):
     """
     (rng,) = derive_streams(seed, 1)
     agent = PqlAgent(env.spec, config, rng)
-    timeline: list[tuple[int, ParetoArchive]] = []
-    total = config.total_timesteps
-    schedule = config.schedule
-    state = env.reset()
-    for t in range(1, total + 1):
-        eps = epsilon_at(schedule, t - 1, total)
-        action = agent.act(state, eps)
-        outcome = env.step(action)
-        agent.update(state, action, outcome.reward, outcome.next_state, outcome.terminated)
-        if outcome.terminated or outcome.truncated:
-            state = env.reset()
-        else:
-            state = outcome.next_state
-        if eval_interval and (t % eval_interval == 0 or t == total):
-            timeline.append((t, agent.front(env.start_state)))
+    timeline = train_loop(
+        env, agent, config.total_timesteps, config.schedule, eval_interval,
+        lambda: agent.front(env.start_state),
+    )
     return agent, timeline

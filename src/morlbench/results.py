@@ -11,7 +11,7 @@ Layout under the results root::
       manifest.json
       seed_<k>/metrics.csv
       seed_<k>/fronts/<timestep>.points
-      aggregate/metrics.csv        (sweeps with at least one seed)
+      aggregate/metrics.csv
 """
 
 from __future__ import annotations
@@ -132,12 +132,11 @@ def _write_run(run_dir: Path, result: SweepResult) -> None:
     write_manifest(run_dir, result)
 
 
-def _curve_csv(rows: list[dict], sd_rows: list[dict] | None, metric: str) -> str:
+def _curve_csv(rows: list[dict], sd_rows: list[dict], metric: str) -> str:
     lines = ["timestep,mean,sd"]
-    sd_by_t = {r["timestep"]: r for r in sd_rows} if sd_rows else {}
+    sd_by_t = {r["timestep"]: r[metric] for r in sd_rows}
     for r in rows:
-        sd_val = sd_by_t.get(r["timestep"], {}).get(metric, 0.0) if sd_rows else 0.0
-        lines.append(f"{r['timestep']},{fmt(r[metric])},{fmt(sd_val)}")
+        lines.append(f"{r['timestep']},{fmt(r[metric])},{fmt(sd_by_t.get(r['timestep'], 0.0))}")
     return "\n".join(lines) + "\n"
 
 
@@ -147,16 +146,12 @@ def write_plotdata(run_dir: Path) -> list[Path]:
     if not run_dir.is_dir():
         raise FileNotFoundError(f"run directory not found: {run_dir}")
     aggregate = run_dir / "aggregate" / "metrics.csv"
+    if not aggregate.is_file():
+        raise FileNotFoundError(f"not a finished run directory: {aggregate} is missing")
+    rows = read_metrics_csv(aggregate)
+    mean_rows = [r for r in rows if r["seed"] == "mean"]
+    sd_rows = [r for r in rows if r["seed"] == "sd"]
     seed_dirs = sorted(p for p in run_dir.glob("seed_*") if p.is_dir())
-    if aggregate.exists():
-        rows = read_metrics_csv(aggregate)
-        mean_rows = [r for r in rows if r["seed"] == "mean"]
-        sd_rows = [r for r in rows if r["seed"] == "sd"]
-    elif seed_dirs:
-        mean_rows = read_metrics_csv(seed_dirs[0] / "metrics.csv")
-        sd_rows = None
-    else:
-        raise FileNotFoundError(f"no metrics.csv under {run_dir}")
 
     written: list[Path] = []
     for metric in ("hypervolume", "cardinality", "sparsity"):

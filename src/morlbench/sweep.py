@@ -13,9 +13,13 @@ non-retention is the phenomenon under study, so pooling deliberately keeps
 no memory; ``archive=True`` switches to cumulative pooling for contrast
 experiments.
 
-Configurations x seeds are independent work items and can run on a process
-pool; results are reduced in a fixed order, so outputs are byte-identical
-regardless of worker count.
+Each (configuration, seed) pair is one work item, a Pareto Q-Learning run
+counting as a single configuration. An item trains one agent and returns,
+per evaluation, the points it adds to that iteration's pool: one greedy
+return vector for MO Q-Learning, the start-state front for Pareto
+Q-Learning. Both kinds are grouped by seed and pooled the same way. Items
+can run on a process pool; results are reduced in a fixed order, so
+outputs are byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -230,33 +234,16 @@ def _substream_seed(trial_seed: int, config_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _moq_item(cfg: SweepConfig, weights: tuple[float, ...], sub_seed: int):
+def _train_item(cfg: SweepConfig, config, sub_seed: int):
+    """Train one agent; returns its timeline as ``(timestep, points)``
+    pairs: one greedy return for MO Q-Learning, the start-state front for
+    Pareto Q-Learning."""
     env = make_env(cfg.env_id, cfg.max_episode_steps)
-    config = MoqConfig(
-        weights=weights,
-        scalariser=cfg.scalariser,
-        alpha=cfg.alpha,
-        gamma=cfg.gamma,
-        tau=cfg.tau,
-        total_timesteps=cfg.total_timesteps,
-        schedule=cfg.schedule(),
-    )
+    if cfg.algo == "pql":
+        _, timeline = pql.train(env, config, sub_seed, cfg.eval_interval)
+        return [(t, front.points) for t, front in timeline]
     _, timeline = moq.train(env, config, sub_seed, cfg.eval_interval)
-    return timeline
-
-
-def _pql_item(cfg: SweepConfig, ref: Point, sub_seed: int):
-    env = make_env(cfg.env_id, cfg.max_episode_steps)
-    config = PqlConfig(
-        gamma=cfg.gamma,
-        total_timesteps=cfg.total_timesteps,
-        set_eval=cfg.set_eval,
-        ref_point=ref if cfg.set_eval == "hypervolume" else None,
-        schedule=cfg.schedule(),
-        state_cap=cfg.state_cap,
-    )
-    _, timeline = pql.train(env, config, sub_seed, cfg.eval_interval)
-    return [(t, front.points) for t, front in timeline]
+    return [(t, (point,)) for t, point in timeline]
 
 
 def _run_item(label: str, fn, *args):
@@ -291,11 +278,17 @@ def _metric_record(t: int, front: ParetoArchive, ref, truth) -> MetricRecord:
     )
 
 
-def _pool_timeline(cfg: SweepConfig, per_iteration: list[tuple[int, list[Point]]], ref, truth):
+def _pool_timeline(cfg: SweepConfig, timelines: list[list[tuple[int, tuple[Point, ...]]]], ref, truth):
+    """Pool one seed's item timelines into one approximation set per
+    iteration, scored with the quality indicators."""
+    if len({len(tl) for tl in timelines}) != 1:
+        raise RuntimeError("configurations evaluated at different cadences")
     records: list[MetricRecord] = []
     archives: list[tuple[int, ParetoArchive]] = []
     cumulative: list[Point] = []
-    for t, points in per_iteration:
+    for iteration in zip(*timelines):
+        t = iteration[0][0]
+        points = [p for _, snapshot in iteration for p in snapshot]
         if cfg.archive:
             cumulative.extend(points)
             points = cumulative
@@ -317,52 +310,66 @@ def resolve_weights(cfg: SweepConfig, num_objectives: int) -> tuple[tuple[float,
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run the full outer-loop protocol and aggregate metrics over seeds.
 
-    A reference point of the wrong dimension or with non-finite values, and
+    Every agent configuration is built once, before any work item starts,
+    so bad agent settings (alpha, gamma, the epsilon schedule), a reference
+    point of the wrong dimension or with non-finite values, and
     incompatible algorithm/environment pairs (the Pareto Q-Learning
-    capacity cap), abort before any training starts.
+    capacity cap) abort before any training. Items for every (configuration,
+    seed) pair then run, and per seed the points of all its items at one
+    iteration are pooled into that iteration's approximation set.
     """
     env = make_env(cfg.env_id, cfg.max_episode_steps)
     ref = tuple(cfg.ref_point if cfg.ref_point is not None else REFERENCE_POINTS[cfg.env_id])
     if len(ref) != env.num_objectives or not all(map(math.isfinite, ref)):
         raise ValueError(f"ref_point needs {env.num_objectives} finite values, got {ref}")
     truth = env.true_front(cfg.gamma) if isinstance(env, DeepSeaTreasure) else None
+    schedule = cfg.schedule()
 
     if cfg.algo == "pql":
         pql.check_capacity(env.spec, cfg.state_cap)
-        items = [(f"pql seed={seed}", _pql_item, cfg, ref, seed) for seed in cfg.seeds]
-        outputs = _run_items(cfg, items)
-        runs = []
-        for seed, timeline in zip(cfg.seeds, outputs):
-            per_iter = [(t, list(points)) for t, points in timeline]
-            records, archives = _pool_timeline(cfg, per_iter, ref, truth)
-            final = archives[-1][1].points if archives else ()
-            runs.append(SeedRun(seed, records, archives, final))
-        n_configs = 1
+        configs = [(
+            "pql",
+            PqlConfig(
+                gamma=cfg.gamma,
+                total_timesteps=cfg.total_timesteps,
+                set_eval=cfg.set_eval,
+                ref_point=ref if cfg.set_eval == "hypervolume" else None,
+                schedule=schedule,
+                state_cap=cfg.state_cap,
+            ),
+        )]
+        item_seed = lambda seed, i: seed
     else:
-        weights = resolve_weights(cfg, env.num_objectives)
-        items = [
+        configs = [
             (
-                f"{cfg.algorithm_label} weights={w} seed={seed}",
-                _moq_item, cfg, w, _substream_seed(seed, i),
+                f"{cfg.algorithm_label} weights={w}",
+                MoqConfig(
+                    weights=w,
+                    scalariser=cfg.scalariser,
+                    alpha=cfg.alpha,
+                    gamma=cfg.gamma,
+                    tau=cfg.tau,
+                    total_timesteps=cfg.total_timesteps,
+                    schedule=schedule,
+                ),
             )
-            for seed in cfg.seeds
-            for i, w in enumerate(weights)
+            for w in resolve_weights(cfg, env.num_objectives)
         ]
-        outputs = _run_items(cfg, items)
-        runs = []
-        n_configs = len(weights)
-        for s_idx, seed in enumerate(cfg.seeds):
-            timelines = outputs[s_idx * n_configs : (s_idx + 1) * n_configs]
-            lengths = {len(tl) for tl in timelines}
-            if len(lengths) != 1:
-                raise RuntimeError("configurations evaluated at different cadences")
-            per_iter = []
-            for k in range(lengths.pop()):
-                t = timelines[0][k][0]
-                per_iter.append((t, [tl[k][1] for tl in timelines]))
-            records, archives = _pool_timeline(cfg, per_iter, ref, truth)
-            final_returns = tuple(tl[-1][1] for tl in timelines) if per_iter else ()
-            runs.append(SeedRun(seed, records, archives, final_returns))
+        item_seed = _substream_seed
+
+    items = [
+        (f"{label} seed={seed}", _train_item, cfg, config, item_seed(seed, i))
+        for seed in cfg.seeds
+        for i, (label, config) in enumerate(configs)
+    ]
+    outputs = _run_items(cfg, items)
+    runs = []
+    n_configs = len(configs)
+    for s_idx, seed in enumerate(cfg.seeds):
+        timelines = outputs[s_idx * n_configs : (s_idx + 1) * n_configs]
+        records, archives = _pool_timeline(cfg, timelines, ref, truth)
+        final_returns = tuple(p for tl in timelines for p in tl[-1][1]) if archives else ()
+        runs.append(SeedRun(seed, records, archives, final_returns))
 
     mean, sd = aggregate_seeds([run.records for run in runs])
     return SweepResult(
@@ -376,4 +383,3 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         mean=mean,
         sd=sd,
     )
-

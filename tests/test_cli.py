@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -360,6 +361,14 @@ class TestPlotdata:
 
     def test_nonexistent_dir(self, tmp_path, capsys):
         assert run_cli("plotdata", str(tmp_path / "missing")) == 2
+
+    def test_run_without_aggregate_rejected(self, out_dir, capsys):
+        assert run_cli(*_train_args(out_dir)) == 0
+        shutil.rmtree(out_dir / "smoke" / "aggregate")
+        capsys.readouterr()
+        assert run_cli("plotdata", str(out_dir / "smoke")) == 2
+        assert "aggregate/metrics.csv is missing" in capsys.readouterr().err
+        assert not (out_dir / "smoke" / "hypervolume_curve.csv").exists()
 
     def test_no_igd_curve_for_four_room(self, out_dir):
         code = run_cli(

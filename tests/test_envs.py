@@ -217,13 +217,15 @@ class TestFourRoom:
         assert all(r == (0.0, 0.0, 0.0) for r in rewards)
 
     def test_state_encoding_round_trip(self, four_room):
-        rng = random.Random(7)
-        for _ in range(500):
-            r = rng.randrange(13)
-            c = rng.randrange(13)
-            mask = rng.randrange(2**9)
-            state = four_room.encode((r, c), mask)
-            assert four_room.decode(state) == ((r, c), mask)
+        # encode is a bijection onto [0, state_count): every (cell, mask) gets its own id
+        grid = four_room.grid
+        masks = range(1 << four_room.n_items)
+        ids = {
+            four_room.encode((r, c), mask)
+            for r in range(grid.rows) for c in range(grid.cols) for mask in masks
+        }
+        assert len(ids) == grid.rows * grid.cols * len(masks) == four_room.state_count
+        assert min(ids) == 0 and max(ids) == four_room.state_count - 1
 
     def test_reward_bounded_by_item_counts(self, four_room):
         rng = random.Random(11)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import ReferenceMoqAgent, TabularMdp, scalar_q_learning
-from morlbench import moq
+from morlbench import moq, pql
 from morlbench.envs import EnvSpec, make_env
 from morlbench.moq import (
     EpsilonSchedule,
@@ -14,6 +14,7 @@ from morlbench.moq import (
     train,
 )
 from morlbench.pareto import dominates
+from morlbench.pql import PqlConfig
 from morlbench.scalarise import action_scores
 from morlbench.sweep import evaluate_policy
 
@@ -216,11 +217,19 @@ class TestTrain:
         for _, point in timeline:
             assert any(p == point or dominates(p, point) for p in front)
 
-    def test_eval_cadence(self):
+    # both learners run the one training loop, so they evaluate on the same steps
+    @pytest.mark.parametrize(
+        "learner, config",
+        [(moq, MoqConfig(weights=(1.0, 0.0), total_timesteps=2_500)),
+         (pql, PqlConfig(total_timesteps=2_500))],
+        ids=["moq", "pql"],
+    )
+    def test_eval_cadence(self, learner, config):
         env = make_env("dst-concave")
-        cfg = MoqConfig(weights=(1.0, 0.0), total_timesteps=2_500)
-        _, timeline = train(env, cfg, seed=3, eval_interval=1000)
+        _, timeline = learner.train(env, config, seed=3, eval_interval=1000)
         assert [t for t, _ in timeline] == [1000, 2000, 2500]
+        _, timeline = learner.train(env, config, seed=3, eval_interval=None)
+        assert timeline == []
 
 
 # (environment, weight vectors, training steps) for the score-cache checks

@@ -116,6 +116,9 @@ class TestAggregateSeeds:
             aggregate_seeds([a, a + a])
 
 
+BAD_REF = "ref_point needs 2 finite values"
+
+
 def _tiny_cfg(**over):
     base = dict(
         env_id="dst-concave",
@@ -225,18 +228,27 @@ class TestRunSweep:
         assert [run.seed for run in result.runs] == [42]
 
     @pytest.mark.parametrize(
-        "ref_point, algo",
-        [((0.0, -50.0, 0.0), "moq"), ((0.0,), "moq"), ((0.0, math.nan), "moq"),
-         ((math.inf, -50.0), "moq"), ((0.0, -50.0, 0.0), "pql")],
+        "settings, match",
+        [
+            pytest.param({"ref_point": (0.0, -50.0, 0.0)}, BAD_REF, id="ref_point0-moq"),
+            pytest.param({"ref_point": (0.0,)}, BAD_REF, id="ref_point1-moq"),
+            pytest.param({"ref_point": (0.0, math.nan)}, BAD_REF, id="ref_point2-moq"),
+            pytest.param({"ref_point": (math.inf, -50.0)}, BAD_REF, id="ref_point3-moq"),
+            pytest.param({"ref_point": (0.0, -50.0, 0.0), "algo": "pql"}, BAD_REF, id="ref_point4-pql"),
+            # agent settings are checked before any work item, even on a pool
+            pytest.param({"alpha": 0.0, "workers": 2}, r"alpha must be in \(0, 1\]", id="alpha-workers2"),
+            pytest.param({"eps_final": 2.0, "workers": 2}, "need 0 <= eps_final", id="eps_final-workers2"),
+        ],
     )
-    def test_bad_ref_point_rejected_before_training(self, monkeypatch, ref_point, algo):
+    def test_bad_ref_point_rejected_before_training(self, monkeypatch, settings, match):
         def no_training(*args, **kwargs):
             raise AssertionError("training started")
 
         monkeypatch.setattr(moq, "train", no_training)
         monkeypatch.setattr(pql, "train", no_training)
-        with pytest.raises(ValueError, match="ref_point needs 2 finite values"):
-            run_sweep(_tiny_cfg(ref_point=ref_point, algo=algo))
+        with pytest.raises(ValueError, match=match) as info:
+            run_sweep(_tiny_cfg(**settings))
+        assert not hasattr(info.value, "__notes__")
 
 
 class TestFailingWorkItem:
