@@ -78,6 +78,8 @@ class MoqConfig:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        if self.tau < 0.0:
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
         if self.total_timesteps < 0:
             raise ValueError("total_timesteps must be >= 0")
         object.__setattr__(self, "weights", check_weights(self.weights))

@@ -10,10 +10,24 @@ and long-term goals stay separated.
 A pair's Q-set changes only when that pair is updated, so the update
 materialises it on the pair, together with its hypervolume score when the
 store has a reference point; reading a Q-set or a score is then a lookup.
-One case needs care: on a self-loop (the successor is the pair's own
-state, as on a wall bump) the successor union that becomes the new future
-set contains this very pair with its new mean and its old future set, so
-the update refreshes the pair's Q-set before building that union.
+The store also caches each state's front, the non-dominated union of its
+actions' Q-sets, when it is first read; an update drops its own state's
+entry only when the pair's Q-set really changes. The cached lists are
+shared: each becomes the future set of every pair whose successor the
+state is, and the agent's front reads it, so nothing may mutate them.
+
+Most updates change nothing: with deterministic rewards the mean stops
+moving after the first visit, and the successor's front is usually the
+one stored last time. The mean therefore advances only by non-zero
+deltas (it starts at +0.0, so it never holds -0.0 and skipping a zero
+delta leaves every float as it was), and the update returns early when the
+mean did not move and the successor's front equals the stored future set.
+Otherwise it composes the Q-set and rescores it only when it differs from
+the stored one. One case needs care: on a self-loop (the successor is the
+pair's own state, as on a wall bump) the successor union that becomes the
+new future set contains this very pair with its new mean and its old
+future set, so the update refreshes the pair's Q-set, and drops the
+state's cached front, before reading that union.
 
 Action selection scores each action's Q-set with a set evaluation
 (hypervolume against a reference point by default; cardinality and Pareto
@@ -87,13 +101,14 @@ class _PairStats:
 
 
 class QSetStore:
-    """Per (state, action) statistics, materialised on first visit.
+    """Per (state, action) statistics, materialised on first visit, and
+    each state's front, cached when first read.
 
-    With a reference point ``ref``, every update also scores the pair's
-    Q-set by its hypervolume against it.
+    With a reference point ``ref``, every update that changes the pair's
+    Q-set also scores it by its hypervolume against it.
     """
 
-    __slots__ = ("state_count", "action_count", "num_objectives", "ref", "_states")
+    __slots__ = ("state_count", "action_count", "num_objectives", "ref", "_states", "_fronts")
 
     def __init__(
         self,
@@ -107,6 +122,7 @@ class QSetStore:
         self.num_objectives = num_objectives
         self.ref = ref
         self._states: dict[int, list[_PairStats | None]] = {}
+        self._fronts: dict[int, list[Point]] = {}
 
     def pair(self, state: int, action: int) -> _PairStats | None:
         row = self._states.get(state)
@@ -142,11 +158,28 @@ def _compose(stats: _PairStats, gamma: float) -> list[Point]:
 
 
 def _state_front(store: QSetStore, state: int) -> list[Point]:
-    """Non-dominated union of the Q-sets of the state's actions."""
-    row = store._states.get(state)
-    if row is None:
-        return []
-    return nondominated_points([p for stats in row if stats is not None for p in stats.qset])
+    """Non-dominated union of the Q-sets of the state's actions.
+
+    Built on the first read and cached until an update changes one of the
+    state's Q-sets. The list is shared; do not mutate.
+    """
+    front = store._fronts.get(state)
+    if front is None:
+        row = store._states.get(state)
+        if row is None:
+            return []
+        front = nondominated_points([p for stats in row if stats is not None for p in stats.qset])
+        store._fronts[state] = front
+    return front
+
+
+def _set_q_set(store: QSetStore, state: int, stats: _PairStats, qset: list[Point]) -> None:
+    # a changed Q-set is rescored and invalidates its state's cached front
+    if qset != stats.qset:
+        stats.qset = qset
+        store._fronts.pop(state, None)
+        if store.ref is not None:
+            stats.score = hypervolume(qset, store.ref)
 
 
 def pql_update(
@@ -160,27 +193,35 @@ def pql_update(
 ) -> None:
     """Fold one transition into the store.
 
-    Advances the incremental reward mean and snapshots the non-dominated
-    union of the successor state's Q-sets as this pair's future-return set
-    (cleared on terminal transitions), then materialises the pair's Q-set
-    and, if the store has a reference point, its hypervolume score.
+    Advances the incremental reward mean and snapshots the successor
+    state's cached front as this pair's future-return set (cleared on
+    terminal transitions), then materialises the pair's Q-set and, if the
+    store has a reference point, its hypervolume score. Returns early when
+    neither the mean nor the future set changed, and rescores the Q-set and
+    drops the state's cached front only when the Q-set changed; the stored
+    values are those of recomposing and rescoring on every update.
     """
     stats = store.ensure(state, action)
     stats.count += 1
     n = stats.count
     mean = stats.mean_reward
+    moved = n == 1  # a first visit always sets the Q-set
     for o, r_o in enumerate(reward):
-        mean[o] += (r_o - mean[o]) / n
+        delta = (r_o - mean[o]) / n
+        if delta:
+            mean[o] += delta
+            moved = True
     if terminated:
-        stats.future = []
+        future = []
     else:
-        if next_state == state:
+        if moved and next_state == state:
             # the union below holds this pair: new mean, old future set
-            stats.qset = _compose(stats, gamma)
-        stats.future = _state_front(store, next_state)
-    stats.qset = _compose(stats, gamma)
-    if store.ref is not None:
-        stats.score = hypervolume(stats.qset, store.ref)
+            _set_q_set(store, state, stats, _compose(stats, gamma))
+        future = _state_front(store, next_state)
+    if not moved and future == stats.future:
+        return
+    stats.future = future
+    _set_q_set(store, state, stats, _compose(stats, gamma))
 
 
 def score_action_sets(fronts: list[list[Point]], mode: str) -> list[float]:

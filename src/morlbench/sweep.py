@@ -42,6 +42,7 @@ from .pareto import (
     sparsity,
 )
 from .pql import PqlConfig
+from .scalarise import check_weights
 
 ALGOS = ("moq", "pql")
 
@@ -311,12 +312,13 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run the full outer-loop protocol and aggregate metrics over seeds.
 
     Every agent configuration is built once, before any work item starts,
-    so bad agent settings (alpha, gamma, the epsilon schedule), a reference
-    point of the wrong dimension or with non-finite values, and
-    incompatible algorithm/environment pairs (the Pareto Q-Learning
-    capacity cap) abort before any training. Items for every (configuration,
-    seed) pair then run, and per seed the points of all its items at one
-    iteration are pooled into that iteration's approximation set.
+    so bad agent settings (alpha, gamma, tau, the epsilon schedule, weights
+    of the wrong length), a reference point of the wrong dimension or with
+    non-finite values, and incompatible algorithm/environment pairs (the
+    Pareto Q-Learning capacity cap) abort before any training. Items for
+    every (configuration, seed) pair then run, and per seed the points of
+    all its items at one iteration are pooled into that iteration's
+    approximation set.
     """
     env = make_env(cfg.env_id, cfg.max_episode_steps)
     ref = tuple(cfg.ref_point if cfg.ref_point is not None else REFERENCE_POINTS[cfg.env_id])
@@ -344,7 +346,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             (
                 f"{cfg.algorithm_label} weights={w}",
                 MoqConfig(
-                    weights=w,
+                    weights=check_weights(w, env.num_objectives),
                     scalariser=cfg.scalariser,
                     alpha=cfg.alpha,
                     gamma=cfg.gamma,

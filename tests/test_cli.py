@@ -58,6 +58,17 @@ class TestTrain:
         assert f"expected finite numbers, got {weights!r}" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_wrong_length_weights_rejected_before_training(self, out_dir, capsys):
+        code = run_cli(
+            "train", "--env", "dst-concave", "--algo", "moq", "--weights", "0.2,0.3,0.5",
+            "--steps", "1000", "--out", str(out_dir),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "expected 2 weights, got 3" in err
+        assert "in work item" not in err
+        assert not out_dir.exists()
+
     def test_moq_with_weights(self, out_dir):
         code = run_cli(
             "train", "--env", "dst-concave", "--algo", "moq", "--weights", "0,1",

@@ -65,6 +65,8 @@ class TestConfig:
             MoqConfig(weights=(1.0, 0.0), alpha=0.0)
         with pytest.raises(ValueError):
             MoqConfig(weights=(1.0, 0.0), gamma=1.5)
+        with pytest.raises(ValueError, match="tau must be >= 0"):
+            MoqConfig(weights=(1.0, 0.0), tau=-1.0)
         with pytest.raises(ValueError):
             MoqConfig(weights=(0.5, 0.6))
         with pytest.raises(ValueError):

@@ -13,13 +13,14 @@ from helpers import (
 )
 from morlbench.envs import make_env
 from morlbench.moq import EpsilonSchedule
-from morlbench.pareto import hypervolume
+from morlbench.pareto import hypervolume, nondominated_points
 from morlbench.pql import (
     SET_EVAL_MODES,
     CapacityError,
     PqlAgent,
     PqlConfig,
     QSetStore,
+    _state_front,
     check_capacity,
     pql_update,
     q_set,
@@ -79,6 +80,15 @@ class TestUpdate:
         assert stats.mean_reward == [1.0, -1.0]
         assert stats.future == []
 
+    def test_zero_reward_first_visit_sets_q_set(self):
+        # the mean does not move, yet a first visit must still set the Q-set
+        store = QSetStore(4, 2, 2, ref=(-1.0, -1.0))
+        pql_update(store, 0, 0, (0.0, 0.0), 1, True, 0.9)
+        assert q_set(store, 0, 0) == [(0.0, 0.0)]
+        assert store.pair(0, 0).score == 1.0
+        pql_update(store, 1, 0, (0.0, 0.0), 2, False, 0.9)
+        assert q_set(store, 1, 0) == [(0.0, 0.0)]
+
     def test_incremental_mean(self):
         store = QSetStore(4, 2, 2)
         pql_update(store, 0, 0, (0.0, -1.0), 0, True, 0.9)
@@ -132,14 +142,20 @@ ENVS = {
 }
 
 
-def _random_transitions(env, steps, seed):
+def _random_transitions(env, steps, seed, rewards=None):
+    """Uniformly random transitions; with ``rewards``, a table of two reward
+    vectors, a terminal transition earns one of the two at random instead
+    of the environment's reward, so its pair's mean keeps moving."""
     rng = random.Random(seed)
     state = env.reset()
     out = []
     for _ in range(steps):
         action = rng.randrange(env.spec.action_count)
         step = env.step(action)
-        out.append((state, action, step.reward, step.next_state, step.terminated))
+        reward = step.reward
+        if rewards is not None and step.terminated:
+            reward = rng.choice(rewards)
+        out.append((state, action, reward, step.next_state, step.terminated))
         state = env.reset() if step.terminated or step.truncated else step.next_state
     return out
 
@@ -167,6 +183,13 @@ class TestMaterialisedQSets:
             assert q_set(agent.store, s, a) == expected, (s, a)
             if ref is not None:
                 assert stats.score == hypervolume(expected, ref), (s, a)
+        # every cached state front is the union of that state's current
+        # Q-sets; repr tells signed zeros apart
+        assert agent.store._fronts
+        for s, front in agent.store._fronts.items():
+            row = agent.store._states[s]
+            union = [p for stats in row if stats is not None for p in stats.qset]
+            assert repr(front) == repr(nondominated_points(union)), s
 
     @pytest.mark.parametrize("env_name", list(ENVS))
     def test_update_matches_from_scratch_reference(self, env_name):
@@ -180,6 +203,56 @@ class TestMaterialisedQSets:
             stats = store.pair(s, a)
             assert (stats.count, stats.mean_reward, stats.future) == (count, mean, future), (s, a)
             assert q_set(store, s, a) == reference_q_set(mean, future, 0.9), (s, a)
+
+    @pytest.mark.parametrize("env_name", list(ENVS))
+    def test_varying_rewards_match_from_scratch_reference(self, env_name):
+        env = ENVS[env_name][0]()
+        k = env.spec.num_objectives
+        rewards = (tuple([1.0] * k), tuple([-0.3] * k))
+        transitions = _random_transitions(env, 5_000, seed=12, rewards=rewards)
+        store = QSetStore(env.spec.state_count, env.spec.action_count, k)
+        seen = set()  # (mean moved, future changed) on repeat visits
+        for transition in transitions:
+            stats = store.pair(*transition[:2])
+            old = None if stats is None else (list(stats.mean_reward), stats.future)
+            pql_update(store, *transition, 0.9)
+            if old is not None:
+                seen.add((stats.mean_reward != old[0], stats.future != old[1]))
+        # both ways past the early return ran
+        assert {(True, False), (False, True)} <= seen
+        expected = reference_pql(transitions, env.spec.action_count, 0.9)
+        for (s, a), (count, mean, future) in expected.items():
+            stats = store.pair(s, a)
+            assert repr((stats.count, stats.mean_reward, stats.future)) == repr((count, mean, future)), (s, a)
+            assert repr(q_set(store, s, a)) == repr(reference_q_set(mean, future, 0.9)), (s, a)
+
+    def test_self_loop_drops_cached_front(self):
+        store = QSetStore(4, 2, 2)
+        pql_update(store, 0, 0, (1.0, 0.0), 0, True, 0.9)
+        assert _state_front(store, 0) == [(1.0, 0.0)]  # now cached
+        # the self-loop changes the pair's Q-set before reading the union,
+        # so it must not read the cached [(1, 0)]
+        pql_update(store, 0, 0, (3.0, 0.0), 0, False, 0.9)
+        assert store.pair(0, 0).future == [(2.0, 0.0)]
+        assert q_set(store, 0, 0) == [(2.0 + 0.9 * 2.0, 0.0)]
+        assert _state_front(store, 0) == [(2.0 + 0.9 * 2.0, 0.0)]
+
+    def test_unchanged_update_keeps_cached_front(self):
+        store = QSetStore(4, 2, 2, ref=(0.0, 0.0))
+        pql_update(store, 1, 0, (1.0, 2.0), 3, True, 0.9)
+        pql_update(store, 0, 0, (1.0, 1.0), 1, False, 0.9)
+        front = _state_front(store, 0)
+        qset = q_set(store, 0, 0)
+        # same reward, same successor front: nothing changes, nothing is rebuilt
+        pql_update(store, 0, 0, (1.0, 1.0), 1, False, 0.9)
+        assert q_set(store, 0, 0) is qset
+        assert _state_front(store, 0) is front
+        # a changed successor front changes the Q-set and drops the cache
+        pql_update(store, 1, 1, (3.0, 3.0), 3, True, 0.9)
+        pql_update(store, 0, 0, (1.0, 1.0), 1, False, 0.9)
+        assert q_set(store, 0, 0) == [(1.0 + 0.9 * 3.0, 1.0 + 0.9 * 3.0)]
+        assert _state_front(store, 0) == q_set(store, 0, 0)
+        assert store.pair(0, 0).score == hypervolume(q_set(store, 0, 0), (0.0, 0.0))
 
     def test_self_loop_union_sees_updated_mean(self):
         store = QSetStore(4, 2, 2)

@@ -238,6 +238,11 @@ class TestRunSweep:
             # agent settings are checked before any work item, even on a pool
             pytest.param({"alpha": 0.0, "workers": 2}, r"alpha must be in \(0, 1\]", id="alpha-workers2"),
             pytest.param({"eps_final": 2.0, "workers": 2}, "need 0 <= eps_final", id="eps_final-workers2"),
+            pytest.param({"tau": -1.0, "workers": 2}, "tau must be >= 0", id="tau-workers2"),
+            pytest.param(
+                {"fixed_weights": ((0.2, 0.3, 0.5),), "workers": 2}, "expected 2 weights, got 3",
+                id="weights-workers2",
+            ),
         ],
     )
     def test_bad_ref_point_rejected_before_training(self, monkeypatch, settings, match):
