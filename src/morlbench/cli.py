@@ -32,9 +32,6 @@ ENV_PRESETS: dict[str, dict] = {
     "four-room": {"total_timesteps": 800_000, "gamma": 0.99, "tau": 6.0},
 }
 
-_FLOATS = ("alpha", "gamma", "tau", "eps_initial", "eps_final", "eps_decay_fraction", "weight_step")
-_INTS = ("total_timesteps", "eval_interval", "state_cap", "max_episode_steps", "workers", "max_configs", "seed")
-
 _LIST_OPTIONS = ("--ref", "--ref-point", "--weights")
 
 
@@ -94,27 +91,34 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    """Flatten [env]/[agent]/[sweep] sections into one key -> raw-text map."""
+def _load_config_file(args: argparse.Namespace) -> dict:
+    """Flatten the [env]/[agent]/[sweep] sections of ``args.config`` into
+    one setting -> value map.
+
+    A key must name one of the subcommand's options by its ``dest`` (the
+    environment is ``id`` under [env]) and is converted as that option
+    converts its flag; any other section or key is an error.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
-    flat: dict[str, str] = {}
-    for section in ("env", "agent", "sweep"):
-        if parser.has_section(section):
-            for key, value in parser.items(section):
-                flat["env_id" if (section, key) == ("env", "id") else key] = value
-    return flat
+    if not parser.read(args.config):
+        raise FileNotFoundError(f"config file not found: {args.config}")
+    settings = {}
+    for section in parser.sections():
+        if section not in ("env", "agent", "sweep"):
+            raise ValueError(f"{args.config}: unknown section [{section}] (expected [env], [agent] or [sweep])")
+        for key, value in parser.items(section):
+            dest = "env_id" if (section, key) == ("env", "id") else key
+            option = args.options.get(dest)
+            if option is None:
+                raise ValueError(f"{args.config}: [{section}] {key} is not a {args.command} setting")
+            settings[dest] = _coerce(dest, option.type(value) if option.type else value)
+    return settings
 
 
 def _coerce(key: str, value):
+    """Parse the settings that argparse leaves as text."""
     if not isinstance(value, str):
         return value
-    if key in _FLOATS:
-        return float(value)
-    if key in _INTS:
-        return int(value)
     if key == "seeds":
         return _parse_seeds(value)
     if key == "archive":
@@ -126,13 +130,9 @@ def _coerce(key: str, value):
 
 def _resolve_settings(args: argparse.Namespace) -> dict:
     """Merge env presets < config file < explicit flags into one dict."""
-    settings: dict = {}
-    if getattr(args, "config", None):
-        for key, value in _load_config_file(args.config).items():
-            settings[key] = _coerce(key, value)
-    for key, value in vars(args).items():
-        if key in ("func", "command", "config", "out", "front", "truth", "ref", "run_dir"):
-            continue
+    settings = _load_config_file(args) if args.config else {}
+    for key in args.options:
+        value = getattr(args, key)
         if value is not None:
             settings[key] = _coerce(key, value)
     env_id = settings.get("env_id")
@@ -155,10 +155,6 @@ def _sweep_config(settings: dict, *, single_seed: bool) -> SweepConfig:
             if weights is None:
                 raise ValueError("train needs --weights for MO Q-Learning (e.g. --weights 0.5,0.5)")
             settings["fixed_weights"] = (weights,)
-    known = SweepConfig.__dataclass_fields__
-    unknown = [k for k in settings if k not in known]
-    if unknown:
-        raise ValueError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
     return SweepConfig(**settings)
 
 
@@ -224,6 +220,12 @@ def _add_agent_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI config file with [env]/[agent]/[sweep] sections")
 
 
+def _set_run_defaults(p: argparse.ArgumentParser) -> None:
+    """Run ``cmd_run`` with the options that are run settings, by ``dest``."""
+    options = {a.dest: a for a in p._actions if a.dest not in ("help", "config", "out")}
+    p.set_defaults(func=cmd_run, options=options)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="morlbench", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -232,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_agent_options(p_train)
     p_train.add_argument("--weights", help="weight vector for MO Q-Learning, e.g. '0.5,0.5'")
     p_train.add_argument("--seed", type=int, help="run seed (default 42)")
-    p_train.set_defaults(func=cmd_run)
+    _set_run_defaults(p_train)
 
     p_sweep = sub.add_parser("sweep", help="run the outer-loop protocol over the weight grid")
     _add_agent_options(p_sweep)
@@ -241,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, help="parallel work items")
     p_sweep.add_argument("--archive", action="store_const", const=True, help="cumulative approximation sets")
     p_sweep.add_argument("--max-configs", dest="max_configs", type=int, help="truncate the weight grid")
-    p_sweep.set_defaults(func=cmd_run)
+    _set_run_defaults(p_sweep)
 
     p_metrics = sub.add_parser("metrics", help="score a point-set file")
     p_metrics.add_argument("front", help="point-set file to score")

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from .base import EnvSpec, StepOutcome
 from .dst import DeepSeaTreasure
 from .four_room import FourRoom
-from .grid import GridMap, load_bundled_map, parse_map
+from .grid import GridMap, StepOutcome, load_bundled_map, parse_map
 
 ENV_IDS = ("dst-concave", "four-room")
 
@@ -16,16 +15,15 @@ REFERENCE_POINTS: dict[str, tuple[float, ...]] = {
 }
 
 
-def make_env(env_id: str, max_episode_steps: int = 1000, grid: GridMap | None = None):
+def make_env(env_id: str, max_episode_steps: int = 1000):
     if env_id == "dst-concave":
-        return DeepSeaTreasure(grid, max_episode_steps)
+        return DeepSeaTreasure(max_episode_steps=max_episode_steps)
     if env_id == "four-room":
-        return FourRoom(grid, max_episode_steps)
+        return FourRoom(max_episode_steps=max_episode_steps)
     raise ValueError(f"unknown environment {env_id!r} (known: {', '.join(ENV_IDS)})")
 
 
 __all__ = [
-    "EnvSpec",
     "StepOutcome",
     "DeepSeaTreasure",
     "FourRoom",

@@ -6,9 +6,9 @@ the treasure value collected (episode ends on any treasure cell), objective
 objectives conflict and every treasure's shortest path is a Pareto-optimal
 trade-off.
 
-State ids are dense integers ``row * cols + col``. Actions: 0 up, 1 down,
-2 left, 3 right; blocked moves (seabed or map edge) leave the position
-unchanged and still cost a step.
+State ids are the dense cell numbers ``row * cols + col``. Actions: 0 up,
+1 down, 2 left, 3 right; blocked moves (seabed or map edge) leave the
+position unchanged and still cost a step.
 """
 
 from __future__ import annotations
@@ -16,33 +16,25 @@ from __future__ import annotations
 from collections import deque
 
 from ..pareto import ParetoArchive
-from .base import EnvSpec, StepOutcome
-from .grid import MOVES, GridMap, load_bundled_map
+from .grid import GridMap, GridWorld, load_bundled_map
 
 STEP_PENALTY = -1.0
 
 
-class DeepSeaTreasure:
+class DeepSeaTreasure(GridWorld):
     name = "dst-concave"
     num_objectives = 2
-    action_count = 4
 
     def __init__(self, grid: GridMap | None = None, max_episode_steps: int = 1000):
-        self.grid = grid if grid is not None else load_bundled_map("dst_concave")
-        self.max_episode_steps = max_episode_steps
+        super().__init__(grid if grid is not None else load_bundled_map("dst_concave"), max_episode_steps)
         self.state_count = self.grid.rows * self.grid.cols
         self._treasures = {
-            (r, c): self.grid.legend[sym] for r, c, sym in self.grid.symbol_cells
+            self.grid.cell(r, c): self.grid.legend[sym] for r, c, sym in self.grid.symbol_cells
         }
         if not self._treasures:
             raise ValueError("DST map has no treasure cells")
         self._check_depth_monotonicity()
-        self.start_state = self._encode(*self.grid.start)
-        self._pos = self.grid.start
-        self._steps = 0
-
-    def _encode(self, r: int, c: int) -> int:
-        return r * self.grid.cols + c
+        self.start_state = self.start_cell
 
     def _check_depth_monotonicity(self) -> None:
         # Treasure values must strictly increase with distance from start.
@@ -53,61 +45,31 @@ class DeepSeaTreasure:
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("treasure values must strictly increase with distance")
 
-    def _min_steps(self) -> dict[tuple[int, int], int]:
-        # BFS over water cells; treasure cells are absorbing, so shortest
-        # paths never pass through another treasure.
-        grid = self.grid
-        dist = {grid.start: 0}
-        reached: dict[tuple[int, int], int] = {}
-        queue = deque([grid.start])
+    def _min_steps(self) -> dict[int, int]:
+        # BFS over the move targets of water cells; treasure cells are
+        # absorbing, so shortest paths never pass through another treasure.
+        dist = {self.start_cell: 0}
+        reached: dict[int, int] = {}
+        queue = deque([self.start_cell])
         while queue:
-            r, c = queue.popleft()
-            for dr, dc in MOVES:
-                nr, nc = r + dr, c + dc
-                if not grid.in_bounds(nr, nc) or grid.is_wall(nr, nc):
+            cell = queue.popleft()
+            for target in self._targets[cell]:
+                if target in dist:
                     continue
-                if (nr, nc) in dist:
-                    continue
-                dist[(nr, nc)] = dist[(r, c)] + 1
-                if (nr, nc) in self._treasures:
-                    reached[(nr, nc)] = dist[(nr, nc)]
+                dist[target] = dist[cell] + 1
+                if target in self._treasures:
+                    reached[target] = dist[target]
                 else:
-                    queue.append((nr, nc))
+                    queue.append(target)
         missing = set(self._treasures) - set(reached)
         if missing:
-            raise ValueError(f"unreachable treasure cells: {sorted(missing)}")
+            cells = sorted(divmod(cell, self.grid.cols) for cell in missing)
+            raise ValueError(f"unreachable treasure cells: {cells}")
         return reached
 
-    @property
-    def spec(self) -> EnvSpec:
-        return EnvSpec(
-            self.name, self.num_objectives, self.action_count,
-            self.state_count, self.max_episode_steps,
-        )
-
-    def fork(self) -> "DeepSeaTreasure":
-        return DeepSeaTreasure(self.grid, self.max_episode_steps)
-
-    def reset(self) -> int:
-        self._pos = self.grid.start
-        self._steps = 0
-        return self.start_state
-
-    def step(self, action: int) -> StepOutcome:
-        if not 0 <= action < self.action_count:
-            raise ValueError(f"invalid action {action!r}")
-        dr, dc = MOVES[action]
-        r, c = self._pos
-        nr, nc = r + dr, c + dc
-        if self.grid.in_bounds(nr, nc) and not self.grid.is_wall(nr, nc):
-            self._pos = (nr, nc)
-        self._steps += 1
-        treasure = self._treasures.get(self._pos, 0.0)
-        terminated = treasure > 0.0
-        truncated = not terminated and self._steps >= self.max_episode_steps
-        return StepOutcome(
-            self._encode(*self._pos), (treasure, STEP_PENALTY), terminated, truncated
-        )
+    def _enter(self, cell: int) -> tuple[int, tuple[float, float], bool]:
+        treasure = self._treasures.get(cell, 0.0)
+        return cell, (treasure, STEP_PENALTY), treasure > 0.0
 
     def true_front(self, gamma: float) -> ParetoArchive:
         """Discounted return of each treasure's shortest path.

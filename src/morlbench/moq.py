@@ -113,15 +113,15 @@ class VectorQTable:
 class MoqAgent:
     """One training instance: Q-table, scalariser state, and rng stream."""
 
-    def __init__(self, spec, config: MoqConfig, rng: random.Random):
-        check_weights(config.weights, spec.num_objectives)
+    def __init__(self, env, config: MoqConfig, rng: random.Random):
+        check_weights(config.weights, env.num_objectives)
         self.config = config
         self.mode = config.scalariser
         self.weights = config.weights
         self.rng = rng
-        self.qtable = VectorQTable(spec.state_count, spec.action_count, spec.num_objectives)
-        self.action_count = spec.action_count
-        self.utopian = UtopianTracker(spec.num_objectives, config.tau)
+        self.qtable = VectorQTable(env.state_count, env.action_count, env.num_objectives)
+        self.action_count = env.action_count
+        self.utopian = UtopianTracker(env.num_objectives, config.tau)
         self._chebyshev = config.scalariser == "chebyshev"
         self._scores: dict[int, list[float]] = {}
 
@@ -237,7 +237,7 @@ def train(env, config: MoqConfig, seed: int, eval_interval: int | None = 1000):
     from .sweep import evaluate_policy
 
     train_rng, eval_rng = derive_streams(seed)
-    agent = MoqAgent(env.spec, config, train_rng)
+    agent = MoqAgent(env, config, train_rng)
     eval_env = env.fork() if eval_interval else None
     timeline = train_loop(
         env, agent, config.total_timesteps, config.schedule, eval_interval,

@@ -68,18 +68,13 @@ class ParetoArchive:
 
     __slots__ = ("points", "dimension")
 
-    def __init__(self, points: Iterable[Sequence[float]] = (), dimension: int | None = None):
+    def __init__(self, points: Iterable[Sequence[float]] = ()):
         unique = sorted({_as_point(p) for p in points})
-        if unique:
-            dims = {len(p) for p in unique}
-            if len(dims) != 1:
-                raise ValueError(f"mixed point dimensions: {sorted(dims)}")
-            inferred = dims.pop()
-            if dimension is not None and dimension != inferred:
-                raise ValueError(f"archive dimension {dimension} != point dimension {inferred}")
-            dimension = inferred
+        dims = {len(p) for p in unique}
+        if len(dims) > 1:
+            raise ValueError(f"mixed point dimensions: {sorted(dims)}")
         self.points: tuple[Point, ...] = tuple(unique)
-        self.dimension: int = dimension if dimension is not None else 0
+        self.dimension: int = dims.pop() if dims else 0
 
     def __len__(self) -> int:
         return len(self.points)

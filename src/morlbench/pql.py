@@ -59,12 +59,12 @@ class CapacityError(RuntimeError):
     """Environment too large for tabular set-based Q-learning."""
 
 
-def check_capacity(spec, state_cap: int) -> None:
+def check_capacity(env, state_cap: int) -> None:
     """Refuse environments with more state-action pairs than ``state_cap``."""
-    pairs = spec.state_count * spec.action_count
+    pairs = env.state_count * env.action_count
     if pairs > state_cap:
         raise CapacityError(
-            f"{spec.name}: {spec.state_count} states x {spec.action_count} actions "
+            f"{env.name}: {env.state_count} states x {env.action_count} actions "
             f"= {pairs} pairs exceeds the Pareto Q-Learning cap of {state_cap}; "
             "set-based tabular learning does not scale to this state space "
             "(raise state_cap to force it)"
@@ -247,21 +247,21 @@ def score_action_sets(fronts: list[list[Point]], mode: str) -> list[float]:
 
 
 class PqlAgent:
-    def __init__(self, spec, config: PqlConfig, rng: random.Random):
-        check_capacity(spec, config.state_cap)
+    def __init__(self, env, config: PqlConfig, rng: random.Random):
+        check_capacity(env, config.state_cap)
         ref = None
         if config.set_eval == "hypervolume":
-            ref = config.ref_point if config.ref_point is not None else REFERENCE_POINTS.get(spec.name)
+            ref = config.ref_point if config.ref_point is not None else REFERENCE_POINTS.get(env.name)
             if ref is None:
                 raise ValueError("hypervolume set evaluation needs ref_point")
-            if len(ref) != spec.num_objectives:
-                raise ValueError(f"ref_point needs {spec.num_objectives} values, got {len(ref)}")
+            if len(ref) != env.num_objectives:
+                raise ValueError(f"ref_point needs {env.num_objectives} values, got {len(ref)}")
         self.config = config
         self.set_eval = config.set_eval
         self.gamma = config.gamma
         self.rng = rng
-        self.action_count = spec.action_count
-        self.store = QSetStore(spec.state_count, spec.action_count, spec.num_objectives, ref)
+        self.action_count = env.action_count
+        self.store = QSetStore(env.state_count, env.action_count, env.num_objectives, ref)
 
     def act(self, state: int, epsilon: float) -> int:
         rng = self.rng
@@ -294,7 +294,7 @@ def train(env, config: PqlConfig, seed: int, eval_interval: int | None = 1000):
     per evaluation interval, taken at the environment's start state.
     """
     (rng,) = derive_streams(seed, 1)
-    agent = PqlAgent(env.spec, config, rng)
+    agent = PqlAgent(env, config, rng)
     timeline = train_loop(
         env, agent, config.total_timesteps, config.schedule, eval_interval,
         lambda: agent.front(env.start_state),

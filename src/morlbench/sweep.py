@@ -235,37 +235,31 @@ def _substream_seed(trial_seed: int, config_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _train_item(cfg: SweepConfig, config, sub_seed: int):
+def _train_item(cfg: SweepConfig, label: str, config, sub_seed: int):
     """Train one agent; returns its timeline as ``(timestep, points)``
     pairs: one greedy return for MO Q-Learning, the start-state front for
-    Pareto Q-Learning."""
-    env = make_env(cfg.env_id, cfg.max_episode_steps)
-    if cfg.algo == "pql":
-        _, timeline = pql.train(env, config, sub_seed, cfg.eval_interval)
-        return [(t, front.points) for t, front in timeline]
-    _, timeline = moq.train(env, config, sub_seed, cfg.eval_interval)
-    return [(t, (point,)) for t, point in timeline]
-
-
-def _run_item(label: str, fn, *args):
+    Pareto Q-Learning. An exception propagates with a note naming
+    ``label``."""
     try:
-        return fn(*args)
+        env = make_env(cfg.env_id, cfg.max_episode_steps)
+        if cfg.algo == "pql":
+            _, timeline = pql.train(env, config, sub_seed, cfg.eval_interval)
+            return [(t, front.points) for t, front in timeline]
+        _, timeline = moq.train(env, config, sub_seed, cfg.eval_interval)
+        return [(t, (point,)) for t, point in timeline]
     except Exception as exc:
         exc.add_note(f"in work item {label}")
         raise
 
 
 def _run_items(cfg: SweepConfig, items: list[tuple]):
-    """Execute (label, fn, args...) work items; returns results in item order.
-
-    An exception from an item propagates with a note naming its label.
-    """
+    """Train (label, config, sub_seed) work items; returns results in item order."""
     if cfg.workers <= 1 or len(items) <= 1:
-        return [_run_item(*item) for item in items]
+        return [_train_item(cfg, *item) for item in items]
     import numpy  # items seed their streams with it: import it once, before forking
 
     with ProcessPoolExecutor(max_workers=min(cfg.workers, len(items))) as pool:
-        futures = [pool.submit(_run_item, *item) for item in items]
+        futures = [pool.submit(_train_item, cfg, *item) for item in items]
         return [f.result() for f in futures]
 
 
@@ -328,7 +322,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     schedule = cfg.schedule()
 
     if cfg.algo == "pql":
-        pql.check_capacity(env.spec, cfg.state_cap)
+        pql.check_capacity(env, cfg.state_cap)
         configs = [(
             "pql",
             PqlConfig(
@@ -360,7 +354,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         item_seed = _substream_seed
 
     items = [
-        (f"{label} seed={seed}", _train_item, cfg, config, item_seed(seed, i))
+        (f"{label} seed={seed}", config, item_seed(seed, i))
         for seed in cfg.seeds
         for i, (label, config) in enumerate(configs)
     ]

@@ -14,7 +14,7 @@ import math
 import random
 from operator import mul, sub
 
-from morlbench.envs.base import EnvSpec, StepOutcome
+from morlbench.envs import StepOutcome
 
 
 def brute_force_nondominated(points):
@@ -124,13 +124,13 @@ class ReferenceMoqAgent:
     against which, with the row folded in, evaluation scores it.
     """
 
-    def __init__(self, spec, config, rng):
+    def __init__(self, env, config, rng):
         self.config = config
         self.rng = rng
-        self.action_count = spec.action_count
-        self.num_objectives = spec.num_objectives
+        self.action_count = env.action_count
+        self.num_objectives = env.num_objectives
         self.rows = {}
-        self.best = [-math.inf] * spec.num_objectives
+        self.best = [-math.inf] * env.num_objectives
 
     def row(self, state):
         r = self.rows.get(state)
@@ -205,11 +205,6 @@ class TabularMdp:
         self.start_state = start
         self._state = start
         self._steps = 0
-
-    @property
-    def spec(self):
-        return EnvSpec(self.name, self.num_objectives, self.action_count,
-                       self.state_count, self.max_episode_steps)
 
     def fork(self):
         return TabularMdp(self.transitions, self.start, self.num_objectives,

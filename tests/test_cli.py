@@ -120,6 +120,21 @@ class TestTrain:
         manifest = json.loads((out_dir / "o" / "manifest.json").read_text("utf-8"))
         assert manifest["config"]["total_timesteps"] == 1000
 
+    @pytest.mark.parametrize("command, algo, text, named", [
+        ("train", "pql", "[agnet]\nalpha = 5\n", "unknown section [agnet]"),
+        ("sweep", "pql", "[sweep]\nweights = 0.5,0.5\nseed = 9\n", "[sweep] weights is not a sweep setting"),
+        ("train", "pql", "[sweep]\nseeds = 1..3\nworkers = 2\n", "[sweep] seeds is not a train setting"),
+        ("sweep", "moq", "[agent]\nfixed_weights = 0.5,0.5\n", "[agent] fixed_weights is not a sweep setting"),
+    ], ids=["misspelled-section", "sweep-weights-seed", "train-seeds-workers", "fixed-weights"])
+    def test_config_file_input_never_dropped(self, out_dir, tmp_path, capsys, command, algo, text, named):
+        # a section or key the subcommand would not use is an error, not ignored
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[env]\nid = dst-concave\n" + text, "utf-8")
+        code = run_cli(command, "--config", str(cfg), "--algo", algo, "--steps", "1000", "--out", str(out_dir))
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestSweep:
     def test_three_configs_at_half_step(self, out_dir):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from morlbench.envs import REFERENCE_POINTS, make_env, parse_map
+from morlbench.envs import ENV_IDS, REFERENCE_POINTS, make_env, parse_map
 from morlbench.envs.dst import DeepSeaTreasure
 from morlbench.envs.four_room import FourRoom
 from morlbench.pareto import dominates, hypervolume, igd, sparsity
@@ -19,6 +19,33 @@ KNOWN_FRONT_POINTS = [
     (18.61, -8.64),
 ]
 
+# Four-Room route that collects no item: down the left column, through the
+# (6,3) door, along row 9 through the (9,6) door, then down to the (11,11) goal.
+FOUR_ROOM_ITEM_FREE_ROUTE = (
+    [DOWN] * 4                 # (5,1)
+    + [RIGHT] * 2              # (5,3)
+    + [DOWN] * 4               # through (6,3) to (9,3)
+    + [RIGHT] * 5              # through (9,6) to (9,8)
+    + [DOWN] * 2               # (11,8)
+    + [RIGHT] * 3              # (11,11) goal
+)
+
+# Per environment: the reward of a step that reaches nothing, a route from
+# the start that ends the episode, and walks from the start followed by a
+# move that the map blocks.
+EMPTY_STEP = {"dst-concave": (0.0, -1.0), "four-room": (0.0, 0.0, 0.0)}
+TO_TERMINAL = {"dst-concave": [DOWN], "four-room": FOUR_ROOM_ITEM_FREE_ROUTE}
+BLOCKED = {
+    "dst-concave": [
+        ([], UP),                           # off the top edge
+        ([RIGHT] * 6 + [DOWN] * 5, LEFT),   # (5, 5) is seabed
+    ],
+    "four-room": [
+        ([], UP),                           # (0, 1) is a wall
+        ([DOWN] * 4, LEFT),                 # (5, 0) is a wall
+    ],
+}
+
 
 @pytest.fixture
 def dst():
@@ -30,18 +57,52 @@ def four_room():
     return make_env("four-room")
 
 
+@pytest.mark.parametrize("env_id", ENV_IDS)
+class TestGridWorld:
+    """Mechanics both gridworlds share: actions, blocking, step counting."""
+
+    def test_reset_after_terminal(self, env_id):
+        env = make_env(env_id)
+        env.reset()
+        for action in TO_TERMINAL[env_id]:
+            out = env.step(action)
+        assert out.terminated and not out.truncated
+        assert env.reset() == env.start_state
+
+    def test_blocked_moves_are_noops(self, env_id):
+        # a blocked move stays put and still counts: with one step left, it truncates
+        for walk, blocked in BLOCKED[env_id]:
+            env = make_env(env_id, max_episode_steps=len(walk) + 1)
+            here = env.reset()
+            for action in walk:
+                here = env.step(action).next_state
+            out = env.step(blocked)
+            assert out.next_state == here
+            assert out.reward == EMPTY_STEP[env_id]
+            assert out.truncated and not out.terminated
+
+    def test_invalid_action(self, env_id):
+        env = make_env(env_id)
+        env.reset()
+        for action in (-1, 4):
+            with pytest.raises(ValueError, match="invalid action"):
+                env.step(action)
+
+    def test_truncation(self, env_id):
+        env = make_env(env_id, max_episode_steps=3)
+        env.reset()
+        assert not env.step(RIGHT).truncated
+        assert not env.step(RIGHT).truncated
+        out = env.step(RIGHT)
+        assert out.truncated and not out.terminated
+
+
 class TestDstBasics:
     def test_reset_is_start_corner(self, dst):
         assert dst.reset() == 0  # cell (0, 0)
 
     def test_reset_deterministic(self, dst):
         assert dst.reset() == dst.reset()
-
-    def test_reset_after_terminal(self, dst):
-        dst.reset()
-        out = dst.step(DOWN)
-        assert out.terminated
-        assert dst.reset() == dst.start_state
 
     def test_first_treasure_one_step_down(self, dst):
         dst.reset()
@@ -55,33 +116,6 @@ class TestDstBasics:
         assert out.reward == (0.0, -1.0)
         assert not out.terminated
 
-    def test_blocked_moves_are_noops(self, dst):
-        state = dst.reset()
-        out = dst.step(UP)  # off the top edge
-        assert out.next_state == state
-        assert out.reward == (0.0, -1.0)
-        dst.reset()
-        for _ in range(6):
-            dst.step(RIGHT)
-        for _ in range(5):
-            here = dst.step(DOWN).next_state  # down column 6 to (5, 6)
-        out = dst.step(LEFT)  # (5, 5) is seabed: blocked
-        assert out.next_state == here
-        assert out.reward == (0.0, -1.0)
-
-    def test_invalid_action(self, dst):
-        dst.reset()
-        with pytest.raises(ValueError):
-            dst.step(4)
-
-    def test_truncation(self):
-        env = make_env("dst-concave", max_episode_steps=3)
-        env.reset()
-        env.step(RIGHT)
-        env.step(RIGHT)
-        out = env.step(RIGHT)
-        assert out.truncated and not out.terminated
-
     def test_determinism(self, dst):
         other = dst.fork()
         dst.reset()
@@ -90,10 +124,11 @@ class TestDstBasics:
             assert dst.step(action) == other.step(action)
 
     def test_spec(self, dst):
-        spec = dst.spec
-        assert spec.num_objectives == 2
-        assert spec.action_count == 4
-        assert spec.state_count == 110
+        assert dst.name == "dst-concave"
+        assert dst.num_objectives == 2
+        assert dst.action_count == 4
+        assert dst.state_count == 110
+        assert dst.max_episode_steps == 1000
 
 
 class TestDstTrueFront:
@@ -173,9 +208,11 @@ class TestDstTrueFront:
 
 class TestFourRoom:
     def test_spec(self, four_room):
-        spec = four_room.spec
-        assert spec.num_objectives == 3
-        assert spec.state_count == 13 * 13 * 2**9
+        assert four_room.name == "four-room"
+        assert four_room.num_objectives == 3
+        assert four_room.action_count == 4
+        assert four_room.state_count == 13 * 13 * 2**9
+        assert four_room.max_episode_steps == 1000
 
     def test_item_collected_once(self, four_room):
         four_room.reset()
@@ -194,20 +231,10 @@ class TestFourRoom:
         assert out.reward == (0.0, 0.0, 1.0)
 
     def test_goal_terminates_without_items(self, four_room):
-        # item-free route: down the left column, through the (6,3) door,
-        # along row 9 through the (9,6) door, then down to the (11,11) goal
         four_room.reset()
-        route = (
-            [DOWN] * 4                 # (5,1)
-            + [RIGHT] * 2              # (5,3)
-            + [DOWN] * 4               # through (6,3) to (9,3)
-            + [RIGHT] * 5              # through (9,6) to (9,8)
-            + [DOWN] * 2               # (11,8)
-            + [RIGHT] * 3              # (11,11) goal
-        )
         rewards = []
         terminated = False
-        for action in route:
+        for action in FOUR_ROOM_ITEM_FREE_ROUTE:
             out = four_room.step(action)
             rewards.append(out.reward)
             if out.terminated:
@@ -216,14 +243,32 @@ class TestFourRoom:
         assert terminated
         assert all(r == (0.0, 0.0, 0.0) for r in rewards)
 
+    def test_reset_restores_items(self, four_room):
+        four_room.reset()
+        first = [four_room.step(a) for a in (DOWN, RIGHT)]  # (2,2) holds a shape-0 item
+        assert first[-1].reward == (1.0, 0.0, 0.0)
+        four_room.reset()
+        assert [four_room.step(a) for a in (DOWN, RIGHT)] == first
+
+    def test_fork_starts_fresh_and_shares_nothing(self):
+        env = FourRoom(max_episode_steps=3)
+        env.reset()
+        env.step(DOWN)
+        env.step(RIGHT)  # collects the (2,2) item: cell, step count and mask have moved
+        other = env.fork()
+        assert other.start_state == env.start_state
+        # the fork starts at the start cell, with no item collected and no step taken
+        assert other.step(DOWN) == (env.encode(env.grid.cell(2, 1), 0), (0.0, 0.0, 0.0), False, False)
+        assert other.step(RIGHT) == (env.encode(env.grid.cell(2, 2), 1), (1.0, 0.0, 0.0), False, False)
+        # the original went on from where it was, unmoved by the fork's steps
+        assert env.step(DOWN) == (env.encode(env.grid.cell(3, 2), 1), (0.0, 0.0, 0.0), False, True)
+        assert other.step(DOWN).truncated
+
     def test_state_encoding_round_trip(self, four_room):
         # encode is a bijection onto [0, state_count): every (cell, mask) gets its own id
         grid = four_room.grid
         masks = range(1 << four_room.n_items)
-        ids = {
-            four_room.encode((r, c), mask)
-            for r in range(grid.rows) for c in range(grid.cols) for mask in masks
-        }
+        ids = {four_room.encode(cell, mask) for cell in range(grid.rows * grid.cols) for mask in masks}
         assert len(ids) == grid.rows * grid.cols * len(masks) == four_room.state_count
         assert min(ids) == 0 and max(ids) == four_room.state_count - 1
 

@@ -1,10 +1,11 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import ReferenceMoqAgent, TabularMdp, scalar_q_learning
 from morlbench import moq, pql
-from morlbench.envs import EnvSpec, make_env
+from morlbench.envs import make_env
 from morlbench.moq import (
     EpsilonSchedule,
     MoqAgent,
@@ -21,8 +22,10 @@ from morlbench.sweep import evaluate_policy
 DOWN = 1
 
 
-def dummy_spec(num_objectives=2, action_count=4, state_count=4):
-    return EnvSpec("dummy", num_objectives, action_count, state_count, 100)
+def dummy_env(num_objectives=2, action_count=4, state_count=4):
+    """The environment attributes an agent reads, without the dynamics."""
+    return SimpleNamespace(name="dummy", num_objectives=num_objectives,
+                           action_count=action_count, state_count=state_count)
 
 
 class TestEpsilonSchedule:
@@ -77,7 +80,7 @@ class TestConfig:
         for weights in [(1.0,), (0.5, 0.25, 0.25)]:
             cfg = MoqConfig(weights=weights, scalariser=scalariser)
             with pytest.raises(ValueError, match=f"expected 2 weights, got {len(weights)}"):
-                MoqAgent(dummy_spec(num_objectives=2), cfg, random.Random(0))
+                MoqAgent(dummy_env(num_objectives=2), cfg, random.Random(0))
 
 
 class TestQTable:
@@ -93,7 +96,7 @@ class TestQTable:
 
 class TestAct:
     def test_full_exploration_uniform(self):
-        agent = MoqAgent(dummy_spec(), MoqConfig(weights=(1.0, 0.0)), random.Random(77))
+        agent = MoqAgent(dummy_env(), MoqConfig(weights=(1.0, 0.0)), random.Random(77))
         counts = [0] * 4
         draws = 10_000
         for _ in range(draws):
@@ -102,13 +105,13 @@ class TestAct:
             assert abs(c / draws - 0.25) < 0.02
 
     def test_greedy_is_deterministic_given_distinct_values(self):
-        agent = MoqAgent(dummy_spec(), MoqConfig(weights=(1.0, 0.0)), random.Random(0))
+        agent = MoqAgent(dummy_env(), MoqConfig(weights=(1.0, 0.0)), random.Random(0))
         row = agent.qtable.row(0)
         row[2][0] = 5.0
         assert all(agent.act(0, 0.0) == 2 for _ in range(50))
 
     def test_zero_table_ties_uniform(self):
-        agent = MoqAgent(dummy_spec(), MoqConfig(weights=(0.5, 0.5)), random.Random(3))
+        agent = MoqAgent(dummy_env(), MoqConfig(weights=(0.5, 0.5)), random.Random(3))
         counts = [0] * 4
         draws = 10_000
         for _ in range(draws):
@@ -119,19 +122,19 @@ class TestAct:
 
 class TestUpdate:
     def test_full_alpha_terminal_overwrites(self):
-        agent = MoqAgent(dummy_spec(), MoqConfig(weights=(1.0, 0.0), alpha=1.0), random.Random(0))
+        agent = MoqAgent(dummy_env(), MoqConfig(weights=(1.0, 0.0), alpha=1.0), random.Random(0))
         agent.update(0, 1, (1.0, -1.0), 0, True)
         assert agent.qtable.row(0)[1] == [1.0, -1.0]
 
     def test_zero_reward_no_bootstrap_keeps_zero(self):
-        agent = MoqAgent(dummy_spec(), MoqConfig(weights=(1.0, 0.0), alpha=0.1), random.Random(0))
+        agent = MoqAgent(dummy_env(), MoqConfig(weights=(1.0, 0.0), alpha=0.1), random.Random(0))
         agent.update(0, 0, (0.0, 0.0), 1, False)
         assert agent.qtable.row(0)[0] == [0.0, 0.0]
 
     @pytest.mark.parametrize("scalariser", ["linear", "chebyshev"])
     def test_bootstrap_takes_first_tied_action_without_drawing(self, scalariser):
         cfg = MoqConfig(weights=(0.5, 0.5), scalariser=scalariser, alpha=1.0, gamma=0.5, tau=0.0)
-        agent = MoqAgent(dummy_spec(), cfg, random.Random(6))
+        agent = MoqAgent(dummy_env(), cfg, random.Random(6))
         # actions 1 and 3 tie under both scalarisers (utopia is (2, 2)) with different vectors
         agent.qtable.row(1)[:] = [[-1.0, -1.0], [2.0, 0.0], [-1.0, -1.0], [0.0, 2.0]]
         agent.utopian.observe_row(agent.qtable.row(1))
@@ -142,7 +145,7 @@ class TestUpdate:
 
     def test_chebyshev_bootstrap_folds_next_row_into_utopia(self):
         cfg = MoqConfig(weights=(0.5, 0.5), scalariser="chebyshev", tau=0.0)
-        agent = MoqAgent(dummy_spec(action_count=2), cfg, random.Random(0))
+        agent = MoqAgent(dummy_env(action_count=2), cfg, random.Random(0))
         agent.act(0, 0.0)
         assert agent.utopian.best == [0.0, 0.0]
         agent.qtable.row(1)[:] = [[0.0, 3.0], [2.0, 0.0]]
@@ -178,7 +181,7 @@ class TestTrain:
 
     def test_evaluation_without_rng_leaves_training_stream(self):
         env = make_env("dst-concave")
-        agent = MoqAgent(env.spec, MoqConfig(weights=(0.5, 0.5)), random.Random(4))
+        agent = MoqAgent(env, MoqConfig(weights=(0.5, 0.5)), random.Random(4))
         before = agent.rng.getstate()
         evaluate_policy(env.fork(), agent, 0.9)
         assert agent.rng.getstate() == before
@@ -275,7 +278,7 @@ class TestScoreCache:
 
     def test_chebyshev_greedy_rescores_when_utopia_rises(self):
         cfg = MoqConfig(weights=(0.5, 0.5), scalariser="chebyshev", tau=0.0)
-        agent = MoqAgent(dummy_spec(action_count=2), cfg, random.Random(0))
+        agent = MoqAgent(dummy_env(action_count=2), cfg, random.Random(0))
         agent.qtable.row(0)[:] = [[1.0, 0.0], [0.0, 0.5]]
         # utopia (1, 0.5): action 0 is closer
         assert agent.act(0, 0.0) == 0
@@ -288,7 +291,7 @@ class TestScoreCache:
 
     def test_chebyshev_greedy_scores_row_against_folded_utopia(self):
         cfg = MoqConfig(weights=(0.5, 0.5), scalariser="chebyshev", tau=0.0)
-        agent = MoqAgent(dummy_spec(action_count=2), cfg, random.Random(0))
+        agent = MoqAgent(dummy_env(action_count=2), cfg, random.Random(0))
         agent.act(0, 0.0)
         agent.qtable.row(1)[:] = [[0.0, 3.0], [2.0, 0.0]]
         # folded in, row 1 gives utopia (2, 3), nearest to action 0; against

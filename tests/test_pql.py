@@ -150,7 +150,7 @@ def _random_transitions(env, steps, seed, rewards=None):
     state = env.reset()
     out = []
     for _ in range(steps):
-        action = rng.randrange(env.spec.action_count)
+        action = rng.randrange(env.action_count)
         step = env.step(action)
         reward = step.reward
         if rewards is not None and step.terminated:
@@ -195,10 +195,10 @@ class TestMaterialisedQSets:
     def test_update_matches_from_scratch_reference(self, env_name):
         env = ENVS[env_name][0]()
         transitions = _random_transitions(env, 5_000, seed=11)
-        store = QSetStore(env.spec.state_count, env.spec.action_count, env.spec.num_objectives)
+        store = QSetStore(env.state_count, env.action_count, env.num_objectives)
         for transition in transitions:
             pql_update(store, *transition, 0.9)
-        expected = reference_pql(transitions, env.spec.action_count, 0.9)
+        expected = reference_pql(transitions, env.action_count, 0.9)
         for (s, a), (count, mean, future) in expected.items():
             stats = store.pair(s, a)
             assert (stats.count, stats.mean_reward, stats.future) == (count, mean, future), (s, a)
@@ -207,10 +207,10 @@ class TestMaterialisedQSets:
     @pytest.mark.parametrize("env_name", list(ENVS))
     def test_varying_rewards_match_from_scratch_reference(self, env_name):
         env = ENVS[env_name][0]()
-        k = env.spec.num_objectives
+        k = env.num_objectives
         rewards = (tuple([1.0] * k), tuple([-0.3] * k))
         transitions = _random_transitions(env, 5_000, seed=12, rewards=rewards)
-        store = QSetStore(env.spec.state_count, env.spec.action_count, k)
+        store = QSetStore(env.state_count, env.action_count, k)
         seen = set()  # (mean moved, future changed) on repeat visits
         for transition in transitions:
             stats = store.pair(*transition[:2])
@@ -220,7 +220,7 @@ class TestMaterialisedQSets:
                 seen.add((stats.mean_reward != old[0], stats.future != old[1]))
         # both ways past the early return ran
         assert {(True, False), (False, True)} <= seen
-        expected = reference_pql(transitions, env.spec.action_count, 0.9)
+        expected = reference_pql(transitions, env.action_count, 0.9)
         for (s, a), (count, mean, future) in expected.items():
             stats = store.pair(s, a)
             assert repr((stats.count, stats.mean_reward, stats.future)) == repr((count, mean, future)), (s, a)
@@ -274,14 +274,14 @@ class TestSetEvaluation:
     def test_ref_iff_hypervolume(self):
         with pytest.raises(ValueError, match="unknown set evaluation"):
             PqlConfig(set_eval="volume")
-        spec = make_env("dst-concave").spec
+        env = make_env("dst-concave")
         for mode in SET_EVAL_MODES:
-            agent = PqlAgent(spec, PqlConfig(set_eval=mode, ref_point=(0.0, 0.0)), random.Random(0))
+            agent = PqlAgent(env, PqlConfig(set_eval=mode, ref_point=(0.0, 0.0)), random.Random(0))
             assert (agent.store.ref is not None) == (mode == "hypervolume"), mode
 
     def test_empty_front_scores_zero(self):
         env = make_env("dst-concave")
-        agent = PqlAgent(env.spec, PqlConfig(ref_point=(0.0, 0.0)), random.Random(5))
+        agent = PqlAgent(env, PqlConfig(ref_point=(0.0, 0.0)), random.Random(5))
         agent.update(0, 1, (1.0, -1.0), 0, True)  # below the reference point
         assert agent.store.pair(0, 1).score == 0.0
         # the visited pair ties with the three unvisited ones, which score 0
@@ -327,7 +327,7 @@ class TestSetEvaluation:
 class TestAct:
     def test_unvisited_state_uniform(self):
         env = make_env("dst-concave")
-        agent = PqlAgent(env.spec, PqlConfig(), random.Random(5))
+        agent = PqlAgent(env, PqlConfig(), random.Random(5))
         counts = [0] * 4
         draws = 10_000
         for _ in range(draws):
@@ -337,7 +337,7 @@ class TestAct:
 
     def test_strictly_better_action_always_wins(self):
         env = make_env("dst-concave")
-        agent = PqlAgent(env.spec, PqlConfig(), random.Random(5))
+        agent = PqlAgent(env, PqlConfig(), random.Random(5))
         # one terminal visit gives action 1 a q-set above the others
         agent.update(0, 1, (5.0, -1.0), 0, True)
         assert all(agent.act(0, 0.0) == 1 for _ in range(50))
@@ -346,7 +346,7 @@ class TestAct:
 class TestFront:
     def test_untrained_front_empty(self):
         env = make_env("dst-concave")
-        agent = PqlAgent(env.spec, PqlConfig(), random.Random(0))
+        agent = PqlAgent(env, PqlConfig(), random.Random(0))
         assert len(agent.front(env.start_state)) == 0
 
     def test_fork_mdp_front(self):
@@ -370,22 +370,22 @@ class TestCapacityGuard:
     def test_four_room_refused(self):
         env = make_env("four-room")
         with pytest.raises(CapacityError, match="does not scale"):
-            PqlAgent(env.spec, PqlConfig(), random.Random(0))
+            PqlAgent(env, PqlConfig(), random.Random(0))
 
     def test_cap_override_allows(self):
         env = make_env("four-room")
         cfg = PqlConfig(state_cap=10_000_000, ref_point=(-1.0, -1.0, -1.0))
-        PqlAgent(env.spec, cfg, random.Random(0))
+        PqlAgent(env, cfg, random.Random(0))
 
     def test_dst_fits(self):
         env = make_env("dst-concave")
-        PqlAgent(env.spec, PqlConfig(), random.Random(0))
+        PqlAgent(env, PqlConfig(), random.Random(0))
 
     def test_check_capacity_alone(self):
-        spec = make_env("four-room").spec
+        env = make_env("four-room")
         with pytest.raises(CapacityError, match="346112 pairs"):
-            check_capacity(spec, 200_000)
-        check_capacity(spec, 346_112)
+            check_capacity(env, 200_000)
+        check_capacity(env, 346_112)
 
 
 class TestTrainLoop:
@@ -408,10 +408,10 @@ class TestTrainLoop:
         mdp = fork_mdp()
         cfg = PqlConfig(set_eval="hypervolume")  # no ref and no registry entry
         with pytest.raises(ValueError, match="ref_point"):
-            PqlAgent(mdp.spec, cfg, random.Random(0))
+            PqlAgent(mdp, cfg, random.Random(0))
 
     def test_ref_point_dimension_checked(self):
         env = make_env("dst-concave")
         cfg = PqlConfig(ref_point=(0.0, -50.0, 0.0))
         with pytest.raises(ValueError, match="ref_point needs 2 values, got 3"):
-            PqlAgent(env.spec, cfg, random.Random(0))
+            PqlAgent(env, cfg, random.Random(0))
