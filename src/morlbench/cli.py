@@ -97,7 +97,8 @@ def _load_config_file(args: argparse.Namespace) -> dict:
 
     A key must name one of the subcommand's options by its ``dest`` (the
     environment is ``id`` under [env]) and is converted as that option
-    converts its flag; any other section or key is an error.
+    converts its flag; any other section or key, and any value that does
+    not convert, is an error that names the file, section and key.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     if not parser.read(args.config):
@@ -111,7 +112,10 @@ def _load_config_file(args: argparse.Namespace) -> dict:
             option = args.options.get(dest)
             if option is None:
                 raise ValueError(f"{args.config}: [{section}] {key} is not a {args.command} setting")
-            settings[dest] = _coerce(dest, option.type(value) if option.type else value)
+            try:
+                settings[dest] = _coerce(dest, option.type(value) if option.type else value)
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: [{section}] {key}: {exc}") from None
     return settings
 
 

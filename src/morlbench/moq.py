@@ -15,10 +15,16 @@ when an update writes it, and every path scores a row against ``z`` with
 that row folded in, so no scored value lies above ``z``: acting and the
 bootstrap fold the row into the tracker, while evaluation
 (:meth:`MoqAgent.greedy`) only scores against the point the fold would give
-and leaves the tracker as it is. The scores are kept per state and equal
-:func:`~morlbench.scalarise.action_scores` of the current row bit for bit:
-a linear update rewrites its one entry, while a Chebyshev update drops its
-state's scores and a rise of the utopian point drops them all.
+and leaves the tracker as it is. The agent keeps the set of states whose
+current row lies at or below the tracker's ``best``, the folded states: a
+fold or an evaluation that finds nothing to fold adds its state, and an
+update removes the state it wrote. Since ``best`` only rises, folding a
+member's row again changes nothing, so no path folds it or asks
+:meth:`~morlbench.scalarise.UtopianTracker.z_with` about it. The scores are
+kept per state and equal :func:`~morlbench.scalarise.action_scores` of the
+current row bit for bit: an update rewrites its one entry with the same
+expression, against the current ``z`` under Chebyshev, and a rise of the
+utopian point drops all the scores.
 
 Run many instances under different weight vectors (see
 :mod:`morlbench.sweep`) to approximate a Pareto front outer-loop style.
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import mul
+from operator import mul, sub
 
 from .scalarise import SCALARISERS, UtopianTracker, action_scores, best_index, check_weights
 
@@ -124,6 +130,7 @@ class MoqAgent:
         self.utopian = UtopianTracker(env.num_objectives, config.tau)
         self._chebyshev = config.scalariser == "chebyshev"
         self._scores: dict[int, list[float]] = {}
+        self._folded: set[int] = set()
 
     def _scores_of(self, state: int) -> list[float]:
         """The state's stored action scores, rescored only on the first
@@ -135,11 +142,18 @@ class MoqAgent:
             self._scores[state] = scores
         return scores
 
+    def _fold(self, state: int, row: list[list[float]]) -> None:
+        """Fold the state's Q-row into the utopian tracker and mark the
+        state folded; a rise of ``z`` drops every stored score."""
+        if self.utopian.observe_row(row):
+            self._scores.clear()
+        self._folded.add(state)
+
     def act(self, state: int, epsilon: float) -> int:
         """Epsilon-greedy action; folds the state's Q-row into the utopian
         tracker before selecting (Chebyshev only)."""
-        if self._chebyshev and self.utopian.observe_row(self.qtable.row(state)):
-            self._scores.clear()
+        if self._chebyshev and state not in self._folded:
+            self._fold(state, self.qtable.row(state))
         rng = self.rng
         if epsilon > 0.0 and rng.random() < epsilon:
             return rng.randrange(self.action_count)
@@ -151,12 +165,16 @@ class MoqAgent:
         takes the first tied action and draws nothing. Under Chebyshev a
         row holding a value above the tracker's best is scored against the
         ``z`` that :meth:`act` would fold it into, and neither that ``z``
-        nor those scores are kept."""
-        if self._chebyshev:
+        nor those scores are kept. A folded state's row holds no such
+        value, so its check is skipped; a row found to hold none makes its
+        state a folded one, which leaves ``best``, ``z`` and the stored
+        scores as they are."""
+        if self._chebyshev and state not in self._folded:
             row = self.qtable.row(state)
             z = self.utopian.z_with(row)
             if z is not None:
                 return best_index(action_scores(self.mode, row, self.weights, z), rng)
+            self._folded.add(state)
         return best_index(self._scores_of(state), rng)
 
     def update(self, state: int, action: int, reward, next_state: int, terminated: bool) -> None:
@@ -165,7 +183,9 @@ class MoqAgent:
         A non-terminal update bootstraps on the next state's greedy action;
         like :meth:`act`, it first folds the next state's Q-row into the
         utopian tracker (Chebyshev only), so the row it scores never holds
-        a value above ``z``."""
+        a value above ``z``. The written state then leaves the folded set,
+        since its new value may lie above ``best``, and its stored score
+        for ``action`` is rewritten against the current ``z``."""
         q = self.qtable.row(state)[action]
         alpha = self.config.alpha
         if terminated:
@@ -173,14 +193,17 @@ class MoqAgent:
                 q[o] += alpha * (r_o - q[o])
         else:
             next_row = self.qtable.row(next_state)
-            if self._chebyshev and self.utopian.observe_row(next_row):
-                self._scores.clear()
+            if self._chebyshev and next_state not in self._folded:
+                self._fold(next_state, next_row)
             q_next = next_row[best_index(self._scores_of(next_state), None)]
             gamma = self.config.gamma
             for o, r_o in enumerate(reward):
                 q[o] += alpha * (r_o + gamma * q_next[o] - q[o])
         if self._chebyshev:
-            self._scores.pop(state, None)
+            self._folded.discard(state)
+            scores = self._scores.get(state)
+            if scores is not None:
+                scores[action] = -max(map(mul, self.weights, map(abs, map(sub, q, self.utopian.z))))
         else:
             scores = self._scores.get(state)
             if scores is not None:

@@ -141,17 +141,21 @@ def _curve_csv(rows: list[dict], sd_rows: list[dict], metric: str) -> str:
 
 
 def write_plotdata(run_dir: Path) -> list[Path]:
-    """Emit plot-ready CSV curves and the final front for one run directory."""
+    """Emit plot-ready CSV curves for one run directory, and the final front
+    of the first seed its manifest lists."""
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         raise FileNotFoundError(f"run directory not found: {run_dir}")
     aggregate = run_dir / "aggregate" / "metrics.csv"
     if not aggregate.is_file():
         raise FileNotFoundError(f"not a finished run directory: {aggregate} is missing")
+    manifest = run_dir / "manifest.json"
+    if not manifest.is_file():
+        raise FileNotFoundError(f"not a finished run directory: {manifest} is missing")
     rows = read_metrics_csv(aggregate)
     mean_rows = [r for r in rows if r["seed"] == "mean"]
     sd_rows = [r for r in rows if r["seed"] == "sd"]
-    seed_dirs = sorted(p for p in run_dir.glob("seed_*") if p.is_dir())
+    first_seed = json.loads(manifest.read_text("utf-8"))["seeds"][0]
 
     written: list[Path] = []
     for metric in ("hypervolume", "cardinality", "sparsity"):
@@ -163,13 +167,12 @@ def write_plotdata(run_dir: Path) -> list[Path]:
         path.write_text(_curve_csv(mean_rows, sd_rows, "igd"), "utf-8")
         written.append(path)
 
-    if seed_dirs:
-        front_files = sorted(
-            (seed_dirs[0] / "fronts").glob("*.points"), key=lambda p: int(p.stem)
-        )
-        if front_files:
-            final: ParetoArchive = load_points(front_files[-1])
-            out = run_dir / "front_final.points"
-            save_points(out, final)
-            written.append(out)
+    front_files = sorted(
+        (run_dir / f"seed_{first_seed}" / "fronts").glob("*.points"), key=lambda p: int(p.stem)
+    )
+    if front_files:
+        final: ParetoArchive = load_points(front_files[-1])
+        out = run_dir / "front_final.points"
+        save_points(out, final)
+        written.append(out)
     return written

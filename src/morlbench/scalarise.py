@@ -78,18 +78,20 @@ def best_index(scores: list[float], rng: random.Random | None) -> int:
 class UtopianTracker:
     """Tracks the per-objective best Q-value and derives the utopian point.
 
-    ``z[o]`` is always exactly ``best[o] + tau``. The best values start at
-    ``-inf`` and only ever increase, so the first observation defines them.
-    Single-owner mutable state: one tracker per agent instance.
+    ``z[o]`` is always exactly ``best[o] + tau``; ``z`` is a tuple rebuilt
+    only when a best value rises. The best values start at ``-inf`` and only
+    ever increase, so the first observation defines them. Single-owner
+    mutable state: one tracker per agent instance.
     """
 
-    __slots__ = ("best", "tau")
+    __slots__ = ("best", "tau", "z")
 
     def __init__(self, dimension: int, tau: float):
         if tau < 0.0:
             raise ValueError(f"tau must be >= 0, got {tau}")
         self.best = [-math.inf] * dimension
         self.tau = tau
+        self.z = tuple(b + tau for b in self.best)
 
     def observe_row(self, qrow: Sequence[Sequence[float]]) -> bool:
         """Fold every action's Q-vector of a state row into the tracker;
@@ -101,6 +103,8 @@ class UtopianTracker:
                 if value > best[o]:
                     best[o] = value
                     rose = True
+        if rose:
+            self.z = tuple(b + self.tau for b in best)
         return rose
 
     def z_with(self, qrow: Sequence[Sequence[float]]) -> tuple[float, ...] | None:
@@ -112,8 +116,3 @@ class UtopianTracker:
         if raised == best:
             return None
         return tuple(b + self.tau for b in raised)
-
-    @property
-    def z(self) -> tuple[float, ...]:
-        return tuple(b + self.tau for b in self.best)
-

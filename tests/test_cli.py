@@ -125,7 +125,12 @@ class TestTrain:
         ("sweep", "pql", "[sweep]\nweights = 0.5,0.5\nseed = 9\n", "[sweep] weights is not a sweep setting"),
         ("train", "pql", "[sweep]\nseeds = 1..3\nworkers = 2\n", "[sweep] seeds is not a train setting"),
         ("sweep", "moq", "[agent]\nfixed_weights = 0.5,0.5\n", "[agent] fixed_weights is not a sweep setting"),
-    ], ids=["misspelled-section", "sweep-weights-seed", "train-seeds-workers", "fixed-weights"])
+        ("train", "pql", "[agent]\ntotal_timesteps = abc\n",
+         "run.ini: [agent] total_timesteps: invalid literal for int() with base 10: 'abc'"),
+        ("train", "moq", "[agent]\nalpha = fast\n", "run.ini: [agent] alpha: could not convert string to float"),
+        ("sweep", "pql", "[sweep]\nseeds = 5..1\n", "run.ini: [sweep] seeds: --seeds: seed range '5..1' is reversed"),
+    ], ids=["misspelled-section", "sweep-weights-seed", "train-seeds-workers", "fixed-weights",
+            "bad-int", "bad-float", "bad-seeds"])
     def test_config_file_input_never_dropped(self, out_dir, tmp_path, capsys, command, algo, text, named):
         # a section or key the subcommand would not use is an error, not ignored
         cfg = tmp_path / "run.ini"
@@ -384,6 +389,18 @@ class TestPlotdata:
         assert len(curve) == 3
         final = load_points(run / "front_final.points")
         assert len(final) >= 1
+
+    def test_final_front_is_the_first_listed_seeds(self, out_dir):
+        assert run_cli(
+            "sweep", "--env", "dst-concave", "--algo", "pql", "--steps", "1000",
+            "--seeds", "9,10", "--out", str(out_dir), "--name", "s",
+        ) == 0
+        run = out_dir / "s"
+        # give the seeds different final fronts; "seed_10" sorts before "seed_9"
+        for seed, point in ((9, (1.0, -1.0)), (10, (2.0, -3.0))):
+            save_points(run / f"seed_{seed}" / "fronts" / "1000.points", ParetoArchive([point]))
+        assert run_cli("plotdata", str(run)) == 0
+        assert load_points(run / "front_final.points") == ParetoArchive([(1.0, -1.0)])
 
     def test_nonexistent_dir(self, tmp_path, capsys):
         assert run_cli("plotdata", str(tmp_path / "missing")) == 2

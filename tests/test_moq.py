@@ -1,3 +1,4 @@
+import copy
 import random
 from types import SimpleNamespace
 
@@ -300,6 +301,47 @@ class TestScoreCache:
         assert agent.utopian.best == [0.0, 0.0]
         assert agent.act(1, 0.0) == 0
         assert agent.utopian.z == (2.0, 3.0)
+
+
+class TestFoldedStates:
+    @pytest.mark.parametrize("env_name, weights, steps", CACHE_CASES)
+    def test_folding_a_member_again_leaves_best(self, env_name, weights, steps):
+        for w in weights:
+            cfg = MoqConfig(weights=w, scalariser="chebyshev", total_timesteps=steps)
+            agent, _ = train(make_env(env_name), cfg, seed=31, eval_interval=1000)
+            assert agent._folded and agent._folded <= agent.qtable._rows.keys()
+            for state in agent._folded:
+                tracker = copy.deepcopy(agent.utopian)
+                assert not tracker.observe_row(agent.qtable.row(state)), state
+                assert tracker.best == agent.utopian.best
+
+    def test_self_loop_write_is_folded_by_next_act(self):
+        cfg = MoqConfig(weights=(0.5, 0.5), scalariser="chebyshev", alpha=1.0, gamma=0.5, tau=0.0)
+        agent = MoqAgent(dummy_env(action_count=2), cfg, random.Random(0))
+        agent.act(0, 0.0)
+        assert 0 in agent._folded and agent.utopian.z == (0.0, 0.0)
+        # the bootstrap folds state 0 before the write lifts its row above best
+        agent.update(0, 1, (4.0, 2.0), 0, False)
+        assert agent.qtable.row(0)[1] == [4.0, 2.0]
+        assert agent.utopian.z == (0.0, 0.0)
+        # against utopia (4, 2) action 1 is nearest; against the stale (0, 0), action 0
+        assert agent.greedy(0) == 1
+        assert agent.utopian.z == (0.0, 0.0)
+        assert agent.act(0, 0.0) == 1
+        assert agent.utopian.z == (4.0, 2.0)
+
+    def test_greedy_marks_a_row_with_nothing_to_fold(self):
+        cfg = MoqConfig(weights=(0.5, 0.5), scalariser="chebyshev", tau=0.0)
+        agent = MoqAgent(dummy_env(action_count=2), cfg, random.Random(0))
+        agent.qtable.row(0)[:] = [[3.0, 1.0], [1.0, 3.0]]
+        agent.act(0, 0.0)
+        agent.qtable.row(1)[:] = [[2.0, 2.0], [4.0, 0.0]]
+        assert agent.greedy(1) == 0
+        assert 1 not in agent._folded
+        agent.qtable.row(2)[:] = [[2.0, 2.0], [3.0, 0.0]]
+        assert agent.greedy(2) == 0
+        assert 2 in agent._folded
+        assert agent.utopian.best == [3.0, 3.0]
 
 
 class TestScalarReduction:
