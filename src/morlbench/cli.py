@@ -64,7 +64,7 @@ def _seed_bounds(part: str) -> tuple[int, int]:
             return int(bounds[0]), int(bounds[-1])
         except ValueError:
             pass
-    raise ValueError(f"--seeds: {part!r} is neither a seed nor a range lo..hi")
+    raise ValueError(f"{part!r} is neither a seed nor a range lo..hi")
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -75,10 +75,10 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
             continue
         lo, hi = _seed_bounds(part)
         if hi < lo:
-            raise ValueError(f"--seeds: seed range {part!r} is reversed (write {hi}..{lo})")
+            raise ValueError(f"seed range {part!r} is reversed (write {hi}..{lo})")
         seeds.extend(range(lo, hi + 1))
     if not seeds:
-        raise ValueError(f"--seeds: no seeds in {text!r}")
+        raise ValueError(f"no seeds in {text!r}")
     return tuple(seeds)
 
 
@@ -135,10 +135,13 @@ def _coerce(key: str, value):
 def _resolve_settings(args: argparse.Namespace) -> dict:
     """Merge env presets < config file < explicit flags into one dict."""
     settings = _load_config_file(args) if args.config else {}
-    for key in args.options:
+    for key, option in args.options.items():
         value = getattr(args, key)
         if value is not None:
-            settings[key] = _coerce(key, value)
+            try:
+                settings[key] = _coerce(key, value)
+            except ValueError as exc:
+                raise ValueError(f"{option.option_strings[0]}: {exc}") from None
     env_id = settings.get("env_id")
     if not env_id:
         raise ValueError("an environment is required: pass --env or [env] id in --config")

@@ -17,8 +17,8 @@ objects that can be shared between threads.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from itertools import repeat
+import sys
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -288,6 +288,17 @@ def igd(approx: ParetoArchive, truth: ParetoArchive) -> float:
     Mean over true-front points of the Euclidean distance to the nearest
     approximation point (unnormalised objectives). Returns ``inf`` when the
     approximation is empty; raises when the truth front is.
+
+    Exact and pruned: the archive is sorted by its first coordinate, so
+    each truth point bisects into it and walks right, then left, stopping
+    once the gap ``dx`` in that coordinate exceeds the best distance so far
+    by 4 ulps. A point's true distance is at least its true ``dx``, which
+    the computed ``dx`` overstates by at most half an ulp, and CPython's
+    ``math.dist`` is accurate to within 1 ulp (since 3.10), so no pruned
+    point's computed distance can fall below the best; a pruned tie leaves
+    the minimum's value unchanged. The same terms are summed in the same
+    order as a scan of every pair, so the result is bit-identical to that
+    scan in any dimension. While the best is ``inf`` nothing is pruned.
     """
     if not truth.points:
         raise ValueError("truth front must be non-empty")
@@ -295,9 +306,22 @@ def igd(approx: ParetoArchive, truth: ParetoArchive) -> float:
         return math.inf
     if approx.dimension != truth.dimension:
         raise ValueError(f"dimension mismatch: {approx.dimension} vs {truth.dimension}")
+    pts = approx.points
+    xs = [p[0] for p in pts]
+    slack = 1.0 + 4.0 * sys.float_info.epsilon
     total = 0.0
     for z in truth.points:
-        total += min(map(math.dist, repeat(z), approx.points))
+        z0 = z[0]
+        best = bound = math.inf
+        i = bisect_left(xs, z0)
+        for walk in (range(i, len(pts)), range(i - 1, -1, -1)):
+            for j in walk:
+                if abs(xs[j] - z0) > bound:
+                    break
+                d = math.dist(z, pts[j])
+                if d < best:
+                    best, bound = d, d * slack
+        total += best
     return total / len(truth.points)
 
 

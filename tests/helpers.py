@@ -2,17 +2,20 @@
 
 Everything here deliberately avoids the library's algorithms: dominance by
 quadratic pairwise scan, hypervolume by Monte-Carlo box sampling and by a
-3-D slab sweep that re-sorts every slab, fronts by exhaustive path
-enumeration, Pareto Q-Learning's Q-sets rebuilt from scratch on every read,
-MO Q-Learning rescoring the whole Q-row on every read, and plain scalar
-Q-learning as the single-objective reference.
+3-D slab sweep that re-sorts every slab, IGD by measuring every pair,
+fronts by exhaustive path enumeration, Pareto Q-Learning's Q-sets rebuilt
+from scratch on every read, MO Q-Learning rescoring the whole Q-row on
+every read, and plain scalar Q-learning as the single-objective reference.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from itertools import repeat
 from operator import mul, sub
+
+import numpy as np
 
 from morlbench.envs import StepOutcome
 
@@ -29,22 +32,39 @@ def brute_force_nondominated(points):
 
 
 def monte_carlo_hypervolume(points, ref, samples, rng):
-    """Box-sampling estimate of the dominated volume and its standard error."""
-    pts = [tuple(p) for p in points]
-    upper = tuple(max(p[i] for p in pts) for i in range(len(ref)))
+    """Box-sampling estimate of the dominated volume and its standard error.
+
+    Draws ``samples * len(ref)`` values from ``rng.random()``, sample by
+    sample, and counts the samples that some point weakly dominates.
+    """
+    pts = np.array(points, dtype=float)
+    lower = np.array(ref, dtype=float)
+    upper = pts.max(axis=0)
     box = 1.0
-    for u, r in zip(upper, ref):
+    for u, r in zip(upper.tolist(), ref):
         box *= max(u - r, 0.0)
     if box == 0.0:
         return 0.0, 0.0
     hits = 0
-    for _ in range(samples):
-        x = tuple(r + rng.random() * (u - r) for u, r in zip(upper, ref))
-        if any(all(px >= xi for px, xi in zip(p, x)) for p in pts):
-            hits += 1
+    chunk = 1 << 16
+    for start in range(0, samples, chunk):
+        n = min(chunk, samples - start)
+        u = np.fromiter((rng.random() for _ in range(n * len(ref))), float, n * len(ref))
+        x = lower + u.reshape(n, len(ref)) * (upper - lower)
+        hit = np.zeros(n, dtype=bool)
+        for p in pts:
+            hit |= (p >= x).all(axis=1)
+        hits += int(hit.sum())
     p_hat = hits / samples
     stderr = box * (p_hat * (1.0 - p_hat) / samples) ** 0.5
     return box * p_hat, stderr
+
+
+def reference_igd(approx, truth):
+    """IGD by measuring the distance from every truth point to every
+    approximation point: the n x m scan the library's pruned search must
+    equal bit for bit."""
+    return sum(min(map(math.dist, repeat(z), approx.points)) for z in truth.points) / len(truth.points)
 
 
 def reference_hv_3d(points, ref):
@@ -290,8 +310,6 @@ def scalar_q_learning(env, alpha, gamma, total_timesteps, schedule, seed):
     structure (one epsilon draw per step, tie draws only on exact ties) so
     tables can be compared bit for bit when the reward has one objective.
     """
-    import numpy as np
-
     states = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
     rng = random.Random(int(states[0]))
     q = {}

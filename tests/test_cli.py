@@ -128,7 +128,7 @@ class TestTrain:
         ("train", "pql", "[agent]\ntotal_timesteps = abc\n",
          "run.ini: [agent] total_timesteps: invalid literal for int() with base 10: 'abc'"),
         ("train", "moq", "[agent]\nalpha = fast\n", "run.ini: [agent] alpha: could not convert string to float"),
-        ("sweep", "pql", "[sweep]\nseeds = 5..1\n", "run.ini: [sweep] seeds: --seeds: seed range '5..1' is reversed"),
+        ("sweep", "pql", "[sweep]\nseeds = 5..1\n", "run.ini: [sweep] seeds: seed range '5..1' is reversed"),
     ], ids=["misspelled-section", "sweep-weights-seed", "train-seeds-workers", "fixed-weights",
             "bad-int", "bad-float", "bad-seeds"])
     def test_config_file_input_never_dropped(self, out_dir, tmp_path, capsys, command, algo, text, named):

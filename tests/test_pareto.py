@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_nondominated, monte_carlo_hypervolume, reference_hv_3d
+from helpers import brute_force_nondominated, monte_carlo_hypervolume, reference_hv_3d, reference_igd
 from morlbench.pareto import (
     ParetoArchive,
     cardinality,
@@ -25,6 +25,23 @@ int_point_2d = st.tuples(st.integers(0, 10), st.integers(0, 10)).map(
 int_point_3d = st.tuples(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10)).map(
     lambda p: tuple(map(float, p))
 )
+# small integers (many equal first coordinates), values a few ulps apart,
+# and finite floats of either sign up to 1e12, subnormals included
+coordinate = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.integers(-3, 3).map(lambda k: 1.0 + k * 2.0**-52),
+    st.floats(-1e12, 1e12, allow_nan=False),
+)
+
+
+@st.composite
+def igd_cases(draw):
+    dim = draw(st.integers(1, 4))
+    points = st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=40)
+    approx = draw(points)
+    # truth points copied from the approximation give exact and tied minima
+    truth = draw(points) + draw(st.lists(st.sampled_from(approx), max_size=3))
+    return approx, truth
 
 
 class TestDominates:
@@ -289,6 +306,28 @@ class TestIgd:
             assert value == 0.0
         else:
             assert value > 0.0
+
+    @given(igd_cases())
+    @settings(max_examples=300)
+    def test_pruned_search_bitwise_equals_full_scan(self, case):
+        approx, truth = ParetoArchive(case[0]), ParetoArchive(case[1])
+        assert repr(igd(approx, truth)) == repr(reference_igd(approx, truth))
+
+    def test_score_fronts_sizes_bitwise_equal_full_scan(self):
+        # a 3,000-point 2-D curve and a 1,500-point 3-D sphere octant,
+        # each scored against a 200-point truth of the same shape
+        rng = random.Random(37)
+
+        def curve(n):
+            return [(x, 10.0 * (1.0 - (x / 10.0) ** 1.3)) for x in (rng.uniform(0.0, 10.0) for _ in range(n))]
+
+        def sphere(n):
+            vs = [[abs(rng.gauss(0.0, 1.0)) for _ in range(3)] for _ in range(n)]
+            return [tuple(10.0 * c / math.sqrt(sum(c * c for c in v)) for c in v) for v in vs]
+
+        for make, n in ((curve, 3000), (sphere, 1500)):
+            approx, truth = ParetoArchive(make(n)), ParetoArchive(make(200))
+            assert repr(igd(approx, truth)) == repr(reference_igd(approx, truth))
 
 
 class TestArchive:
