@@ -24,7 +24,7 @@ from .pareto import cardinality, hypervolume, igd, load_points, sparsity
 from .pql import SET_EVAL_MODES, CapacityError
 from .results import fmt, results_root, write_plotdata, write_sweep
 from .scalarise import SCALARISERS
-from .sweep import ALGOS, SweepConfig, run_sweep
+from .sweep import ALGOS, UNREAD_SETTINGS, SweepConfig, run_sweep
 
 # Published per-environment settings; overridable by config file or flags.
 ENV_PRESETS: dict[str, dict] = {
@@ -51,9 +51,9 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
     if not all(map(math.isfinite, values)):
-        raise ValueError(f"expected finite numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
     return values
 
 
@@ -64,7 +64,7 @@ def _seed_bounds(part: str) -> tuple[int, int]:
             return int(bounds[0]), int(bounds[-1])
         except ValueError:
             pass
-    raise ValueError(f"{part!r} is neither a seed nor a range lo..hi")
+    raise argparse.ArgumentTypeError(f"{part!r} is neither a seed nor a range lo..hi")
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -75,10 +75,10 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
             continue
         lo, hi = _seed_bounds(part)
         if hi < lo:
-            raise ValueError(f"seed range {part!r} is reversed (write {hi}..{lo})")
+            raise argparse.ArgumentTypeError(f"seed range {part!r} is reversed (write {hi}..{lo})")
         seeds.extend(range(lo, hi + 1))
     if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
+        raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
     return tuple(seeds)
 
 
@@ -88,7 +88,16 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+
+
+def _convert(option: argparse.Action, value: str):
+    """Convert and check a config-file value as ``option`` does its flag's."""
+    if option.type:
+        value = option.type(value)
+    if option.choices and value not in option.choices:
+        raise ValueError(f"invalid choice: {value!r} (choose from {', '.join(map(repr, option.choices))})")
+    return value
 
 
 def _load_config_file(args: argparse.Namespace) -> dict:
@@ -96,9 +105,10 @@ def _load_config_file(args: argparse.Namespace) -> dict:
     one setting -> value map.
 
     A key must name one of the subcommand's options by its ``dest`` (the
-    environment is ``id`` under [env]) and is converted as that option
-    converts its flag; any other section or key, and any value that does
-    not convert, is an error that names the file, section and key.
+    environment is ``id`` under [env]) and is converted and checked as that
+    option converts and checks its flag; any other section or key, and any
+    value the flag would not accept, is an error that names the file,
+    section and key.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     if not parser.read(args.config):
@@ -113,40 +123,28 @@ def _load_config_file(args: argparse.Namespace) -> dict:
             if option is None:
                 raise ValueError(f"{args.config}: [{section}] {key} is not a {args.command} setting")
             try:
-                settings[dest] = _coerce(dest, option.type(value) if option.type else value)
-            except ValueError as exc:
+                settings[dest] = _convert(option, value)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{args.config}: [{section}] {key}: {exc}") from None
     return settings
 
 
-def _coerce(key: str, value):
-    """Parse the settings that argparse leaves as text."""
-    if not isinstance(value, str):
-        return value
-    if key == "seeds":
-        return _parse_seeds(value)
-    if key == "archive":
-        return _parse_bool(value)
-    if key in ("weights", "ref_point"):
-        return _parse_floats(value)
-    return value
-
-
 def _resolve_settings(args: argparse.Namespace) -> dict:
-    """Merge env presets < config file < explicit flags into one dict."""
+    """Merge env presets < config file < explicit flags into one dict,
+    refusing a setting the chosen algorithm never reads before the presets
+    (which set ``tau`` for every algorithm) are applied."""
     settings = _load_config_file(args) if args.config else {}
-    for key, option in args.options.items():
+    for key in args.options:
         value = getattr(args, key)
         if value is not None:
-            try:
-                settings[key] = _coerce(key, value)
-            except ValueError as exc:
-                raise ValueError(f"{option.option_strings[0]}: {exc}") from None
+            settings[key] = value
+    algo = settings.get("algo", "moq")
+    unread = [key for key in UNREAD_SETTINGS[algo] if key in settings]
+    if unread:
+        raise ValueError(f"algorithm {algo!r} does not read {', '.join(unread)}")
     env_id = settings.get("env_id")
     if not env_id:
         raise ValueError("an environment is required: pass --env or [env] id in --config")
-    if env_id not in ENV_IDS:
-        raise ValueError(f"unknown environment {env_id!r} (known: {', '.join(ENV_IDS)})")
     for key, value in ENV_PRESETS[env_id].items():
         settings.setdefault(key, value)
     return settings
@@ -157,7 +155,6 @@ def _sweep_config(settings: dict, *, single_seed: bool) -> SweepConfig:
     weights = settings.pop("weights", None)
     if single_seed:
         settings["seeds"] = (seed if seed is not None else 42,)
-        settings["workers"] = 1
         if settings.get("algo", "moq") == "moq":
             if weights is None:
                 raise ValueError("train needs --weights for MO Q-Learning (e.g. --weights 0.5,0.5)")
@@ -188,10 +185,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     front = load_points(args.front)
-    ref = _parse_floats(args.ref)
-    if front.points and len(ref) != front.dimension:
-        raise ValueError(f"--ref has {len(ref)} values, the front has {front.dimension} objectives")
-    print(f"hypervolume = {fmt(hypervolume(front, ref))}")
+    if front.points and len(args.ref) != front.dimension:
+        raise ValueError(f"--ref has {len(args.ref)} values, the front has {front.dimension} objectives")
+    print(f"hypervolume = {fmt(hypervolume(front, args.ref))}")
     print(f"cardinality = {cardinality(front)}")
     print(f"sparsity = {fmt(sparsity(front))}")
     if args.truth:
@@ -219,7 +215,7 @@ def _add_agent_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-decay-fraction", dest="eps_decay_fraction", type=float)
     p.add_argument("--eval-interval", dest="eval_interval", type=int)
     p.add_argument("--set-eval", dest="set_eval", choices=SET_EVAL_MODES, help="PQL action-set score")
-    p.add_argument("--ref-point", dest="ref_point", help="metric reference point, e.g. '0,-50'")
+    p.add_argument("--ref-point", dest="ref_point", type=_parse_floats, help="metric reference point, e.g. '0,-50'")
     p.add_argument("--state-cap", dest="state_cap", type=int, help="PQL state-action pair cap")
     p.add_argument("--max-episode-steps", dest="max_episode_steps", type=int)
     p.add_argument("--name", help="run directory name")
@@ -239,23 +235,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a single configuration")
     _add_agent_options(p_train)
-    p_train.add_argument("--weights", help="weight vector for MO Q-Learning, e.g. '0.5,0.5'")
+    p_train.add_argument("--weights", type=_parse_floats, help="weight vector for MO Q-Learning, e.g. '0.5,0.5'")
     p_train.add_argument("--seed", type=int, help="run seed (default 42)")
     _set_run_defaults(p_train)
 
     p_sweep = sub.add_parser("sweep", help="run the outer-loop protocol over the weight grid")
     _add_agent_options(p_sweep)
     p_sweep.add_argument("--weight-step", dest="weight_step", type=float, help="weight grid step (default 0.1)")
-    p_sweep.add_argument("--seeds", help="seed list, e.g. '42..51' or '42,43,44'")
+    p_sweep.add_argument("--seeds", type=_parse_seeds, help="seed list, e.g. '42..51' or '42,43,44'")
     p_sweep.add_argument("--workers", type=int, help="parallel work items")
-    p_sweep.add_argument("--archive", action="store_const", const=True, help="cumulative approximation sets")
+    p_sweep.add_argument("--archive", nargs="?", const=True, type=_parse_bool, help="cumulative approximation sets")
     p_sweep.add_argument("--max-configs", dest="max_configs", type=int, help="truncate the weight grid")
     _set_run_defaults(p_sweep)
 
     p_metrics = sub.add_parser("metrics", help="score a point-set file")
     p_metrics.add_argument("front", help="point-set file to score")
     p_metrics.add_argument("--truth", help="true-front point-set file (enables IGD)")
-    p_metrics.add_argument("--ref", required=True, help="reference point, e.g. '0,-50'")
+    p_metrics.add_argument("--ref", required=True, type=_parse_floats, help="reference point, e.g. '0,-50'")
     p_metrics.set_defaults(func=cmd_metrics)
 
     p_plot = sub.add_parser("plotdata", help="emit plot-ready CSV curves for a run directory")

@@ -45,6 +45,11 @@ from .pql import PqlConfig
 from .scalarise import check_weights
 
 ALGOS = ("moq", "pql")
+# Settings, by CLI name, that each algorithm never reads; the CLI refuses them.
+UNREAD_SETTINGS = {
+    "moq": ("set_eval", "state_cap"),
+    "pql": ("scalariser", "alpha", "tau", "weights", "weight_step", "max_configs"),
+}
 
 
 @dataclass(frozen=True)
@@ -293,15 +298,6 @@ def _pool_timeline(cfg: SweepConfig, timelines: list[list[tuple[int, tuple[Point
     return records, archives
 
 
-def resolve_weights(cfg: SweepConfig, num_objectives: int) -> tuple[tuple[float, ...], ...]:
-    if cfg.fixed_weights is not None:
-        return cfg.fixed_weights
-    grid = weight_grid(num_objectives, cfg.weight_step)
-    if cfg.max_configs is not None:
-        grid = grid[: cfg.max_configs]
-    return tuple(grid)
-
-
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Run the full outer-loop protocol and aggregate metrics over seeds.
 
@@ -336,6 +332,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         )]
         item_seed = lambda seed, i: seed
     else:
+        weights = cfg.fixed_weights
+        if weights is None:
+            weights = weight_grid(env.num_objectives, cfg.weight_step)[: cfg.max_configs]
         configs = [
             (
                 f"{cfg.algorithm_label} weights={w}",
@@ -349,7 +348,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                     schedule=schedule,
                 ),
             )
-            for w in resolve_weights(cfg, env.num_objectives)
+            for w in weights
         ]
         item_seed = _substream_seed
 

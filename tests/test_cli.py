@@ -129,8 +129,12 @@ class TestTrain:
          "run.ini: [agent] total_timesteps: invalid literal for int() with base 10: 'abc'"),
         ("train", "moq", "[agent]\nalpha = fast\n", "run.ini: [agent] alpha: could not convert string to float"),
         ("sweep", "pql", "[sweep]\nseeds = 5..1\n", "run.ini: [sweep] seeds: seed range '5..1' is reversed"),
+        ("sweep", "pql", "[sweep]\narchive = maybe\n", "run.ini: [sweep] archive: expected a boolean, got 'maybe'"),
+        ("train", "pql", "[agent]\nscalariser = bogus\n",
+         "run.ini: [agent] scalariser: invalid choice: 'bogus' (choose from 'linear', 'chebyshev')"),
+        ("train", "pql", "[agent]\nscalariser = chebyshev\ntau = 3\n", "algorithm 'pql' does not read scalariser, tau"),
     ], ids=["misspelled-section", "sweep-weights-seed", "train-seeds-workers", "fixed-weights",
-            "bad-int", "bad-float", "bad-seeds"])
+            "bad-int", "bad-float", "bad-seeds", "bad-bool", "bad-choice", "unread-by-pql"])
     def test_config_file_input_never_dropped(self, out_dir, tmp_path, capsys, command, algo, text, named):
         # a section or key the subcommand would not use is an error, not ignored
         cfg = tmp_path / "run.ini"
@@ -138,6 +142,17 @@ class TestTrain:
         code = run_cli(command, "--config", str(cfg), "--algo", algo, "--steps", "1000", "--out", str(out_dir))
         assert code == 2
         assert named in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command, flags, named", [
+        ("train", ("--algo", "pql", "--tau", "3", "--weights", "1,0"), "tau, weights"),
+        ("sweep", ("--algo", "moq", "--set-eval", "cardinality"), "set_eval"),
+        ("sweep", ("--algo", "pql", "--weight-step", "0.5"), "weight_step"),
+    ], ids=["pql-tau-weights", "moq-set-eval", "pql-weight-step"])
+    def test_setting_the_algorithm_never_reads_rejected(self, out_dir, capsys, command, flags, named):
+        code = run_cli(command, "--env", "dst-concave", *flags, "--steps", "1000", "--out", str(out_dir))
+        assert code == 2
+        assert f"algorithm {flags[1]!r} does not read {named}" in capsys.readouterr().err
         assert not out_dir.exists()
 
 
@@ -203,6 +218,21 @@ class TestSweep:
         assert code == 2
         assert f"{key} must be >= 1, got {option.split('=')[1]}" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags, text, archive", [
+        (("--archive",), "", True),
+        (("--archive=no",), "", False),
+        ((), "[sweep]\narchive = yes\n", True),
+    ], ids=["flag", "flag-no", "config-yes"])
+    def test_archive_from_flag_or_config(self, out_dir, tmp_path, flags, text, archive):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[env]\nid = dst-concave\n" + text, "utf-8")
+        assert run_cli(
+            "sweep", "--config", str(cfg), "--algo", "pql", "--steps", "200", "--eval-interval", "100",
+            *flags, "--out", str(out_dir), "--name", "a",
+        ) == 0
+        manifest = json.loads((out_dir / "a" / "manifest.json").read_text("utf-8"))
+        assert manifest["config"]["archive"] is archive
 
     def test_negative_ref_point_value(self, tmp_path):
         args = (
