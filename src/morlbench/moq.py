@@ -210,12 +210,65 @@ class MoqAgent:
                 scores[action] = sum(map(mul, self.weights, q))
 
 
-def derive_streams(seed: int, n: int = 2) -> list[random.Random]:
-    """Independent rng streams from one run seed (training, evaluation, ...)."""
-    import numpy as np  # imported here: `metrics` and `plotdata` never need it
+_MASK32 = 0xFFFFFFFF
 
-    states = np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
-    return [random.Random(int(s)) for s in states]
+
+def seed_state(entropy: int, n: int, spawn_key: tuple[int, ...] = ()) -> list[int]:
+    """``n`` 64-bit words hashed from a seed: bit for bit the values of
+    ``numpy.random.SeedSequence(entropy, spawn_key=spawn_key)
+    .generate_state(n, dtype=numpy.uint64)``, without importing numpy.
+
+    ``entropy`` and every key must be non-negative ints: anything else
+    raises ``TypeError``, a negative value ``ValueError``.
+    """
+    words = []
+    for i, value in enumerate((entropy, *spawn_key)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"seed must be a non-negative int, got {value!r}")
+        if value < 0:
+            raise ValueError(f"seed must be non-negative, got {value}")
+        if i == 1:  # a spawn key pads the entropy to the pool size
+            words += [0] * (4 - len(words))
+        words.append(value & _MASK32)
+        while value := value >> 32:
+            words.append(value & _MASK32)
+    # numpy's constants, in order: INIT_A, MULT_A, MIX_MULT_L, MIX_MULT_R, INIT_B, MULT_B
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const = 0x8B51F9DD
+    out = []
+    for i in range(2 * n):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        out.append(value ^ value >> 16)
+    return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
+
+
+def derive_streams(seed: int, n: int = 2) -> list[random.Random]:
+    """Independent rng streams from one run seed (training, evaluation, ...),
+    seeded with the words of :func:`seed_state`; ``seed`` must be a
+    non-negative int, so every run is reproducible."""
+    return [random.Random(s) for s in seed_state(seed, n)]
 
 
 def train_loop(env, agent, total: int, schedule: EpsilonSchedule, eval_interval: int | None, snapshot):

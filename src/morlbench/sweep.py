@@ -25,7 +25,6 @@ outputs are byte-identical regardless of worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import PurePath
 
@@ -82,6 +81,8 @@ class SweepConfig:
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if not all(isinstance(s, int) and not isinstance(s, bool) for s in self.seeds):
+            raise TypeError(f"seeds must be ints, got {self.seeds!r}")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be non-negative")
         if self.eval_interval < 1:
@@ -233,13 +234,6 @@ def aggregate_seeds(
     return mean_records, sd_records
 
 
-def _substream_seed(trial_seed: int, config_index: int) -> int:
-    import numpy as np  # imported here: `metrics` and `plotdata` never need it
-
-    ss = np.random.SeedSequence(trial_seed, spawn_key=(config_index,))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def _train_item(cfg: SweepConfig, label: str, config, sub_seed: int):
     """Train one agent; returns its timeline as ``(timestep, points)``
     pairs: one greedy return for MO Q-Learning, the start-state front for
@@ -261,7 +255,7 @@ def _run_items(cfg: SweepConfig, items: list[tuple]):
     """Train (label, config, sub_seed) work items; returns results in item order."""
     if cfg.workers <= 1 or len(items) <= 1:
         return [_train_item(cfg, *item) for item in items]
-    import numpy  # items seed their streams with it: import it once, before forking
+    from concurrent.futures import ProcessPoolExecutor  # imported here: serial runs never need it
 
     with ProcessPoolExecutor(max_workers=min(cfg.workers, len(items))) as pool:
         futures = [pool.submit(_train_item, cfg, *item) for item in items]
@@ -350,7 +344,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             )
             for w in weights
         ]
-        item_seed = _substream_seed
+        item_seed = lambda seed, i: moq.seed_state(seed, 1, (i,))[0]
 
     items = [
         (f"{label} seed={seed}", config, item_seed(seed, i))

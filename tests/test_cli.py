@@ -383,11 +383,19 @@ class TestMetrics:
     def test_scoring_never_imports_numpy(self, tmp_path, out_dir):
         path = tmp_path / "f3.points"
         save_points(path, ParetoArchive([(1.0, 2.0, 3.0), (3.0, 2.0, 1.0)]))
-        assert run_cli(*_train_args(out_dir)) == 0
+        sweep = ["sweep", "--env", "dst-concave", "--algo", "moq", "--weight-step", "0.5",
+                 "--steps", "300", "--eval-interval", "100", "--seeds", "1,2", "--out", str(out_dir)]
         script = (
             "import sys\n"
             "from morlbench.cli import main\n"
             "assert 'numpy' not in sys.modules, 'import'\n"
+            f"assert main({list(_train_args(out_dir))!r}) == 0\n"
+            "assert 'numpy' not in sys.modules, 'train'\n"
+            f"assert main({sweep + ['--name', 'serial']!r}) == 0\n"
+            "assert 'numpy' not in sys.modules, 'sweep'\n"
+            "assert 'concurrent.futures' not in sys.modules, 'serial sweep'\n"
+            f"assert main({sweep + ['--name', 'pooled', '--workers', '2']!r}) == 0\n"
+            "assert 'numpy' not in sys.modules, 'sweep --workers 2'\n"
             f"assert main(['metrics', {str(path)!r}, '--truth', {str(path)!r}, '--ref=-1,-1,-1']) == 0\n"
             "assert 'numpy' not in sys.modules, 'metrics'\n"
             f"assert main(['plotdata', {str(out_dir / 'smoke')!r}]) == 0\n"
@@ -398,6 +406,8 @@ class TestMetrics:
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "hypervolume = 36" in proc.stdout
+        for name in ("serial", "pooled"):
+            assert (out_dir / name / "aggregate" / "metrics.csv").is_file()
 
     def test_round_trip_front_files(self, tmp_path):
         front = make_env("dst-concave").true_front(0.9)

@@ -2,7 +2,10 @@ import copy
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ReferenceMoqAgent, TabularMdp, scalar_q_learning
 from morlbench import moq, pql
@@ -13,6 +16,7 @@ from morlbench.moq import (
     MoqConfig,
     VectorQTable,
     epsilon_at,
+    seed_state,
     train,
 )
 from morlbench.pareto import dominates
@@ -61,6 +65,48 @@ class TestEpsilonSchedule:
             EpsilonSchedule(0.1, 0.5, 1.0)
         with pytest.raises(ValueError):
             EpsilonSchedule(1.0, 0.1, 0.0)
+
+
+def numpy_seed_state(entropy, n, spawn_key=()):
+    """The oracle ``seed_state`` must equal bit for bit."""
+    words = np.random.SeedSequence(entropy, spawn_key=spawn_key).generate_state(n, dtype=np.uint64)
+    return [int(w) for w in words]
+
+
+class TestSeedState:
+    @settings(max_examples=500)
+    @given(
+        st.integers(0, 2**200),
+        st.lists(st.integers(0, 2**64), max_size=3).map(tuple),
+        st.integers(1, 4),
+    )
+    def test_matches_numpy(self, entropy, key, n):
+        assert seed_state(entropy, n, key) == numpy_seed_state(entropy, n, key)
+
+    @pytest.mark.parametrize("entropy", [0, 2**32 - 1, 2**32, 2**64])
+    @pytest.mark.parametrize("key", [(), (0,), (2**32 - 1, 2**32)])
+    def test_matches_numpy_at_word_boundaries(self, entropy, key):
+        for n in (1, 2, 4):
+            assert seed_state(entropy, n, key) == numpy_seed_state(entropy, n, key)
+
+    @pytest.mark.parametrize("seed", [None, 1.0, "42", True, (1,)])
+    def test_non_int_seed_rejected(self, seed):
+        with pytest.raises(TypeError, match="non-negative int"):
+            seed_state(seed, 1)
+        with pytest.raises(TypeError):
+            seed_state(1, 1, (seed,))
+        with pytest.raises(TypeError):
+            train(make_env("dst-concave"), MoqConfig(weights=(0.5, 0.5), total_timesteps=10), seed)
+        with pytest.raises(TypeError):
+            pql.train(make_env("dst-concave"), PqlConfig(total_timesteps=10), seed)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            seed_state(-1, 1)
+        with pytest.raises(ValueError):
+            seed_state(1, 1, (0, -2))
+        with pytest.raises(ValueError):
+            train(make_env("dst-concave"), MoqConfig(weights=(0.5, 0.5), total_timesteps=10), -5)
 
 
 class TestConfig:

@@ -220,6 +220,11 @@ class TestRunSweep:
             SweepConfig(env_id="dst-concave", seeds=())
         with pytest.raises(ValueError):
             SweepConfig(env_id="dst-concave", eval_interval=0)
+        with pytest.raises(ValueError):
+            SweepConfig(env_id="dst-concave", seeds=(1, -1))
+        for seeds in [(None,), (1.0,), ("42",), (True,)]:
+            with pytest.raises(TypeError, match="seeds must be ints"):
+                SweepConfig(env_id="dst-concave", seeds=seeds)
 
     def test_single_run_config(self):
         cfg = replace(_tiny_cfg(), fixed_weights=((1.0, 0.0),), seeds=(42,), workers=1)
