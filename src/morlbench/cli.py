@@ -26,21 +26,16 @@ from .results import fmt, results_root, write_plotdata, write_sweep
 from .scalarise import SCALARISERS
 from .sweep import ALGOS, UNREAD_SETTINGS, SweepConfig, run_sweep
 
-# Published per-environment settings; overridable by config file or flags.
-ENV_PRESETS: dict[str, dict] = {
-    "dst-concave": {"total_timesteps": 400_000, "gamma": 0.9, "tau": 4.0},
-    "four-room": {"total_timesteps": 800_000, "gamma": 0.99, "tau": 6.0},
-}
-
 _LIST_OPTIONS = ("--ref", "--ref-point", "--weights")
 
 
 def _join_list_values(argv: list[str]) -> list[str]:
     """Turn ``--ref -1,-1`` into ``--ref=-1,-1``: argparse would read a
-    value starting with "-" that is not a plain number as an option."""
+    value starting with "-" that is not a plain number as an option. A
+    token starting with "--" is the next flag and is left alone."""
     joined: list[str] = []
     for tok in argv:
-        if joined and joined[-1] in _LIST_OPTIONS and tok.startswith("-"):
+        if joined and joined[-1] in _LIST_OPTIONS and tok.startswith("-") and not tok.startswith("--"):
             joined[-1] += "=" + tok
         else:
             joined.append(tok)
@@ -130,9 +125,8 @@ def _load_config_file(args: argparse.Namespace) -> dict:
 
 
 def _resolve_settings(args: argparse.Namespace) -> dict:
-    """Merge env presets < config file < explicit flags into one dict,
-    refusing a setting the chosen algorithm never reads before the presets
-    (which set ``tau`` for every algorithm) are applied."""
+    """Merge config file < explicit flags into one dict, refusing a
+    setting the chosen algorithm never reads."""
     settings = _load_config_file(args) if args.config else {}
     for key in args.options:
         value = getattr(args, key)
@@ -142,11 +136,8 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     unread = [key for key in UNREAD_SETTINGS[algo] if key in settings]
     if unread:
         raise ValueError(f"algorithm {algo!r} does not read {', '.join(unread)}")
-    env_id = settings.get("env_id")
-    if not env_id:
+    if not settings.get("env_id"):
         raise ValueError("an environment is required: pass --env or [env] id in --config")
-    for key, value in ENV_PRESETS[env_id].items():
-        settings.setdefault(key, value)
     return settings
 
 
@@ -165,7 +156,8 @@ def _sweep_config(settings: dict, *, single_seed: bool) -> SweepConfig:
 def _print_summary(result, run_dir: Path) -> None:
     last = result.mean[-1] if result.mean else None
     print(f"run: {run_dir}")
-    print(f"algorithm: {result.algorithm}  environment: {result.environment}  configs: {result.n_configs}")
+    cfg = result.config
+    print(f"algorithm: {cfg.algorithm_label}  environment: {cfg.env_id}  configs: {result.n_configs}")
     if last is not None:
         igd_text = "" if last.igd is None else f"  igd={fmt(last.igd)}"
         print(

@@ -14,6 +14,13 @@ REFERENCE_POINTS: dict[str, tuple[float, ...]] = {
     "four-room": (-1.0, -1.0, -1.0),
 }
 
+# Published per-environment training settings; a SweepConfig fills in any
+# of them left unset.
+ENV_PRESETS: dict[str, dict] = {
+    "dst-concave": {"total_timesteps": 400_000, "gamma": 0.9, "tau": 4.0},
+    "four-room": {"total_timesteps": 800_000, "gamma": 0.99, "tau": 6.0},
+}
+
 
 def make_env(env_id: str, max_episode_steps: int = 1000):
     if env_id == "dst-concave":
@@ -33,4 +40,5 @@ __all__ = [
     "make_env",
     "ENV_IDS",
     "REFERENCE_POINTS",
+    "ENV_PRESETS",
 ]

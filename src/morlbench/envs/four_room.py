@@ -15,6 +15,7 @@ from __future__ import annotations
 from .grid import GridMap, GridWorld, load_bundled_map
 
 NUM_SHAPES = 3
+NO_REWARD = (0.0,) * NUM_SHAPES
 
 
 class FourRoom(GridWorld):
@@ -30,7 +31,8 @@ class FourRoom(GridWorld):
         if any(not 0 <= shape < NUM_SHAPES for _, shape in items):
             raise ValueError("item shapes must be 0, 1 or 2")
         self._item_bit = {cell: i for i, (cell, _) in enumerate(items)}
-        self._item_shape = dict(items)
+        # the reward of collecting each item, built once and shared like NO_REWARD
+        self._item_reward = {cell: tuple(float(k == shape) for k in range(NUM_SHAPES)) for cell, shape in items}
         self.n_items = len(items)
         self.state_count = self.grid.rows * self.grid.cols * (1 << self.n_items)
         self.start_state = self.encode(self.start_cell, 0)
@@ -44,9 +46,9 @@ class FourRoom(GridWorld):
         return super().reset()
 
     def _enter(self, cell: int) -> tuple[int, tuple[float, ...], bool]:
-        reward = [0.0] * NUM_SHAPES
+        reward = NO_REWARD
         bit = self._item_bit.get(cell)
         if bit is not None and not self._mask >> bit & 1:
             self._mask |= 1 << bit
-            reward[self._item_shape[cell]] = 1.0
-        return self.encode(cell, self._mask), tuple(reward), cell == self._goal
+            reward = self._item_reward[cell]
+        return self.encode(cell, self._mask), reward, cell == self._goal

@@ -32,6 +32,7 @@ Run many instances under different weight vectors (see
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from operator import mul, sub
@@ -54,19 +55,6 @@ class EpsilonSchedule:
             raise ValueError(f"decay_fraction must be in (0, 1], got {self.decay_fraction}")
 
 
-def epsilon_at(schedule: EpsilonSchedule, t: int, total: int) -> float:
-    """Exploration rate after ``t`` of ``total`` timesteps."""
-    if not 0 <= t <= total:
-        raise ValueError(f"t must be in [0, {total}], got {t}")
-    if t == 0:
-        return schedule.eps_initial
-    span = schedule.decay_fraction * total
-    if t >= span:
-        return schedule.eps_final
-    frac = t / span
-    return schedule.eps_initial + (schedule.eps_final - schedule.eps_initial) * frac
-
-
 @dataclass(frozen=True)
 class MoqConfig:
     weights: tuple[float, ...]
@@ -84,8 +72,8 @@ class MoqConfig:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.tau < 0.0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be >= 0 and finite, got {self.tau}")
         if self.total_timesteps < 0:
             raise ValueError("total_timesteps must be >= 0")
         object.__setattr__(self, "weights", check_weights(self.weights))
@@ -279,18 +267,20 @@ def train_loop(env, agent, total: int, schedule: EpsilonSchedule, eval_interval:
     not a multiple of it, ``snapshot()`` is called and its value recorded;
     ``eval_interval=None`` records nothing. Returns the ``(timestep,
     snapshot)`` timeline.
+    Epsilon falls linearly from ``eps_initial`` at the first step to
+    ``eps_final`` once ``decay_fraction * total`` steps are done.
     """
     timeline = []
+    eps_initial, eps_final = schedule.eps_initial, schedule.eps_final
+    span = schedule.decay_fraction * total
     state = env.reset()
     for t in range(1, total + 1):
-        eps = epsilon_at(schedule, t - 1, total)
+        done = t - 1
+        eps = eps_final if done >= span else eps_initial + (eps_final - eps_initial) * (done / span)
         action = agent.act(state, eps)
-        outcome = env.step(action)
-        agent.update(state, action, outcome.reward, outcome.next_state, outcome.terminated)
-        if outcome.terminated or outcome.truncated:
-            state = env.reset()
-        else:
-            state = outcome.next_state
+        next_state, reward, terminated, truncated = env.step(action)
+        agent.update(state, action, reward, next_state, terminated)
+        state = env.reset() if terminated or truncated else next_state
         if eval_interval and (t % eval_interval == 0 or t == total):
             timeline.append((t, snapshot()))
     return timeline

@@ -79,8 +79,8 @@ def write_manifest(run_dir: Path, result: SweepResult) -> None:
         "artifact": "morlbench",
         "version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),
-        "environment": result.environment,
-        "algorithm": result.algorithm,
+        "environment": result.config.env_id,
+        "algorithm": result.config.algorithm_label,
         "n_configs": result.n_configs,
         "ref_point": list(result.ref_point),
         "seeds": list(result.config.seeds),
@@ -117,18 +117,19 @@ def write_sweep(result: SweepResult, root: Path) -> Path:
 
 def _write_run(run_dir: Path, result: SweepResult) -> None:
     run_dir.mkdir()
+    labels = (result.config.algorithm_label, result.config.env_id)
     for run in result.runs:
         seed_dir = run_dir / f"seed_{run.seed}"
         fronts_dir = seed_dir / "fronts"
         fronts_dir.mkdir(parents=True, exist_ok=True)
         rows = [(str(run.seed), r) for r in run.records]
-        (seed_dir / "metrics.csv").write_text(metrics_csv(rows, result.algorithm, result.environment), "utf-8")
+        (seed_dir / "metrics.csv").write_text(metrics_csv(rows, *labels), "utf-8")
         for t, front in run.archives:
             save_points(fronts_dir / f"{t}.points", front)
     agg_dir = run_dir / "aggregate"
     agg_dir.mkdir(exist_ok=True)
     rows = [row for m, s in zip(result.mean, result.sd) for row in (("mean", m), ("sd", s))]
-    (agg_dir / "metrics.csv").write_text(metrics_csv(rows, result.algorithm, result.environment), "utf-8")
+    (agg_dir / "metrics.csv").write_text(metrics_csv(rows, *labels), "utf-8")
     write_manifest(run_dir, result)
 
 

@@ -87,8 +87,8 @@ class UtopianTracker:
     __slots__ = ("best", "tau", "z")
 
     def __init__(self, dimension: int, tau: float):
-        if tau < 0.0:
-            raise ValueError(f"tau must be >= 0, got {tau}")
+        if not 0.0 <= tau < math.inf:
+            raise ValueError(f"tau must be >= 0 and finite, got {tau}")
         self.best = [-math.inf] * dimension
         self.tau = tau
         self.z = tuple(b + tau for b in self.best)

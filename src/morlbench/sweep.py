@@ -25,11 +25,11 @@ outputs are byte-identical regardless of worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import PurePath
 
 from . import moq, pql
-from .envs import REFERENCE_POINTS, DeepSeaTreasure, make_env
+from .envs import ENV_PRESETS, REFERENCE_POINTS, DeepSeaTreasure, make_env
 from .moq import EpsilonSchedule, MoqConfig
 from .pareto import (
     ParetoArchive,
@@ -59,9 +59,10 @@ class SweepConfig:
     weight_step: float = 0.1
     fixed_weights: tuple[tuple[float, ...], ...] | None = None
     alpha: float = 0.1
-    gamma: float = 0.9
-    tau: float = 4.0
-    total_timesteps: int = 400_000
+    # None takes the environment's value from ENV_PRESETS
+    gamma: float | None = None
+    tau: float | None = None
+    total_timesteps: int | None = None
     eps_initial: float = 1.0
     eps_final: float = 0.1
     eps_decay_fraction: float = 1.0
@@ -77,6 +78,12 @@ class SweepConfig:
     name: str | None = None
 
     def __post_init__(self):
+        presets = ENV_PRESETS.get(self.env_id)
+        if presets is None:
+            raise ValueError(f"unknown environment {self.env_id!r} (known: {', '.join(ENV_PRESETS)})")
+        for key, value in presets.items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if not self.seeds:
@@ -85,6 +92,9 @@ class SweepConfig:
             raise TypeError(f"seeds must be ints, got {self.seeds!r}")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be non-negative")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ValueError(f"seeds must be distinct, got {', '.join(map(str, repeated))} more than once")
         if self.eval_interval < 1:
             raise ValueError("eval_interval must be >= 1")
         if self.workers < 1:
@@ -105,9 +115,6 @@ class SweepConfig:
     @property
     def run_name(self) -> str:
         return self.name or f"{self.env_id}_{self.algorithm_label.replace('-', '_')}"
-
-    def schedule(self) -> EpsilonSchedule:
-        return EpsilonSchedule(self.eps_initial, self.eps_final, self.eps_decay_fraction)
 
 
 @dataclass(frozen=True)
@@ -136,8 +143,6 @@ class SeedRun:
 @dataclass
 class SweepResult:
     config: SweepConfig
-    environment: str
-    algorithm: str
     n_configs: int
     ref_point: tuple[float, ...]
     truth: ParetoArchive | None
@@ -183,13 +188,13 @@ def evaluate_policy(env, agent, gamma: float, max_steps: int | None = None, rng=
     returns = [0.0] * env.num_objectives
     discount = 1.0
     for _ in range(limit):
-        outcome = env.step(agent.greedy(state, rng=rng))
-        for o, r_o in enumerate(outcome.reward):
+        next_state, reward, terminated, truncated = env.step(agent.greedy(state, rng=rng))
+        for o, r_o in enumerate(reward):
             returns[o] += discount * r_o
         discount *= gamma
-        if outcome.terminated or outcome.truncated:
+        if terminated or truncated:
             break
-        state = outcome.next_state
+        state = next_state
     return tuple(returns)
 
 
@@ -309,7 +314,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     if len(ref) != env.num_objectives or not all(map(math.isfinite, ref)):
         raise ValueError(f"ref_point needs {env.num_objectives} finite values, got {ref}")
     truth = env.true_front(cfg.gamma) if isinstance(env, DeepSeaTreasure) else None
-    schedule = cfg.schedule()
+    schedule = EpsilonSchedule(cfg.eps_initial, cfg.eps_final, cfg.eps_decay_fraction)
 
     if cfg.algo == "pql":
         pql.check_capacity(env, cfg.state_cap)
@@ -363,8 +368,6 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     mean, sd = aggregate_seeds([run.records for run in runs])
     return SweepResult(
         config=cfg,
-        environment=cfg.env_id,
-        algorithm=cfg.algorithm_label,
         n_configs=n_configs,
         ref_point=ref,
         truth=truth,

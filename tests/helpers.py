@@ -1,11 +1,12 @@
 """Independent oracles and hand-built MDPs used across the test suite.
 
-Everything here deliberately avoids the library's algorithms: dominance by
-quadratic pairwise scan, hypervolume by Monte-Carlo box sampling and by a
-3-D slab sweep that re-sorts every slab, IGD by measuring every pair,
-fronts by exhaustive path enumeration, Pareto Q-Learning's Q-sets rebuilt
-from scratch on every read, MO Q-Learning rescoring the whole Q-row on
-every read, and plain scalar Q-learning as the single-objective reference.
+Everything here deliberately avoids the library's algorithms: exploration
+rates by one checked function call per step, dominance by quadratic
+pairwise scan, hypervolume by Monte-Carlo box sampling and by a 3-D slab
+sweep that re-sorts every slab, IGD by measuring every pair, fronts by
+exhaustive path enumeration, Pareto Q-Learning's Q-sets rebuilt from
+scratch on every read, MO Q-Learning rescoring the whole Q-row on every
+read, and plain scalar Q-learning as the single-objective reference.
 """
 
 from __future__ import annotations
@@ -18,6 +19,20 @@ from operator import mul, sub
 import numpy as np
 
 from morlbench.envs import StepOutcome
+
+
+def epsilon_at(schedule, t, total):
+    """Exploration rate after ``t`` of ``total`` timesteps: the expression
+    the training loop computes inline, checked step by step against it."""
+    if not 0 <= t <= total:
+        raise ValueError(f"t must be in [0, {total}], got {t}")
+    if t == 0:
+        return schedule.eps_initial
+    span = schedule.decay_fraction * total
+    if t >= span:
+        return schedule.eps_final
+    frac = t / span
+    return schedule.eps_initial + (schedule.eps_final - schedule.eps_initial) * frac
 
 
 def brute_force_nondominated(points):

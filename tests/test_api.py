@@ -1,10 +1,54 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 import morlbench
-from morlbench import envs, pareto
+from morlbench import envs, moq, pareto, pql
+from morlbench.envs import make_env
+
+BENCHTRACE = Path(__file__).resolve().parents[1] / "bench" / "hook" / "benchtrace.py"
+# Hook points the benchmark tracer still names, though the code they timed is gone.
+DEAD_HOOKS = {"morlbench.scalarise.greedy_action", "morlbench.pareto.hypervolume_points"}
 
 
 @pytest.mark.parametrize("module", [morlbench, pareto, envs], ids=lambda m: m.__name__)
 def test_exported_names_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def _resolve(module_name: str, path: str):
+    owner = importlib.import_module(module_name)
+    for part in path.split("."):
+        owner = getattr(owner, part, None)
+    return owner
+
+
+class TestTracerHooks:
+    """The benchmark tracer wraps functions by name and reads a few private
+    attributes with defaults, so a rename makes its metrics read 0 without
+    an error; these tests name the rename instead."""
+
+    def test_hook_points_resolve(self):
+        spec = importlib.util.spec_from_file_location("benchtrace", BENCHTRACE)
+        trace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(trace)
+        entries = [(module, path) for _, module, path, _ in (*trace.COUNTED, *trace.SPANNED)]
+        assert len(entries) > len(DEAD_HOOKS)
+        unresolved = {f"{module}.{path}" for module, path in entries if _resolve(module, path) is None}
+        assert unresolved <= DEAD_HOOKS
+
+    def test_inspected_attributes_exist(self):
+        agent, _ = moq.train(make_env("dst-concave"), moq.MoqConfig(weights=(0.5, 0.5), total_timesteps=50), 1, None)
+        assert len(agent.qtable._rows) > 0
+        agent, _ = pql.train(make_env("dst-concave"), pql.PqlConfig(total_timesteps=50), 1, None)
+        pairs = [p for row in agent.store._states.values() for p in row if p is not None]
+        assert pairs and all(isinstance(p.future, list) for p in pairs)
+
+    @pytest.mark.parametrize("env_id", envs.ENV_IDS)
+    def test_step_outcome_has_truncated(self, env_id):
+        env = make_env(env_id, max_episode_steps=1)
+        env.reset()
+        assert type(env.step(0).truncated) is bool

@@ -87,6 +87,24 @@ class TestTrain:
         assert code == 2
         assert "does not scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_rejected(self, out_dir, capsys, tau):
+        code = run_cli(
+            "train", "--env", "dst-concave", "--scalariser", "chebyshev", "--weights", "0.5,0.5",
+            "--tau", tau, "--steps", "1000", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert f"tau must be >= 0 and finite, got {tau}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("option", ["--weights", "--ref-point"])
+    def test_list_option_missing_its_value(self, out_dir, capsys, option):
+        # the next flag is not taken for the list's value
+        code = run_cli("train", "--env", "dst-concave", option, "--seed", "3", "--out", str(out_dir))
+        assert code == 2
+        assert f"argument {option}: expected one argument" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_env_is_usage_error(self, capsys):
         assert run_cli("train", "--algo", "pql") == 2
         assert "--env" in capsys.readouterr().err
@@ -187,6 +205,19 @@ class TestSweep:
         )
         assert code == 2
         assert repr(seeds.split(",")[1]) in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seeds, named", [("42,42", "42"), ("1..3,2", "2")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_seeds_rejected(self, out_dir, tmp_path, capsys, seeds, named, source):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[env]\nid = dst-concave\n[sweep]\nseeds = {seeds}\n", "utf-8")
+        given = ("--seeds", seeds) if source == "flag" else ("--config", str(cfg))
+        code = run_cli(
+            "sweep", "--env", "dst-concave", "--algo", "pql", "--steps", "1000", *given, "--out", str(out_dir),
+        )
+        assert code == 2
+        assert f"seeds must be distinct, got {named} more than once" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("seeds", ["42..", "1..2..3", "a"])

@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ReferenceMoqAgent, TabularMdp, scalar_q_learning
+from helpers import ReferenceMoqAgent, TabularMdp, epsilon_at, scalar_q_learning
 from morlbench import moq, pql
 from morlbench.envs import make_env
 from morlbench.moq import (
@@ -15,7 +16,6 @@ from morlbench.moq import (
     MoqAgent,
     MoqConfig,
     VectorQTable,
-    epsilon_at,
     seed_state,
     train,
 )
@@ -65,6 +65,19 @@ class TestEpsilonSchedule:
             EpsilonSchedule(0.1, 0.5, 1.0)
         with pytest.raises(ValueError):
             EpsilonSchedule(1.0, 0.1, 0.0)
+
+    @pytest.mark.parametrize("schedule", [
+        EpsilonSchedule(), EpsilonSchedule(1.0, 0.1, 0.3), EpsilonSchedule(0.7, 0.05, 0.55),
+        EpsilonSchedule(0.0, 0.0, 1.0),
+    ], ids=["default", "fraction-0.3", "fraction-0.55", "zero"])
+    @pytest.mark.parametrize("total", [1, 7, 1000, 4321])
+    def test_train_loop_explores_at_epsilon_at(self, schedule, total):
+        """The loop computes epsilon inline; every step's value equals the
+        oracle's bit for bit."""
+        seen = []
+        agent = SimpleNamespace(act=lambda state, eps: seen.append(eps) or 0, update=lambda *args: None)
+        moq.train_loop(make_env("dst-concave"), agent, total, schedule, None, None)
+        assert [eps.hex() for eps in seen] == [epsilon_at(schedule, t, total).hex() for t in range(total)]
 
 
 def numpy_seed_state(entropy, n, spawn_key=()):
@@ -117,6 +130,9 @@ class TestConfig:
             MoqConfig(weights=(1.0, 0.0), gamma=1.5)
         with pytest.raises(ValueError, match="tau must be >= 0"):
             MoqConfig(weights=(1.0, 0.0), tau=-1.0)
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+                MoqConfig(weights=(1.0, 0.0), tau=tau)
         with pytest.raises(ValueError):
             MoqConfig(weights=(0.5, 0.6))
         with pytest.raises(ValueError):

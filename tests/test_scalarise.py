@@ -159,6 +159,11 @@ class TestUtopianTracker:
         with pytest.raises(ValueError):
             UtopianTracker(2, tau=-1.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+            UtopianTracker(2, tau=tau)
+
 
 class TestGreedyAction:
     def test_linear_corner_weight(self):

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import TabularMdp, brute_force_nondominated
 from morlbench import moq, pql
-from morlbench.envs import make_env
+from morlbench.envs import ENV_IDS, ENV_PRESETS, make_env
 from morlbench.pql import CapacityError
 from morlbench.sweep import (
     MetricRecord,
@@ -137,7 +137,7 @@ class TestRunSweep:
     def test_moq_structure(self):
         result = run_sweep(_tiny_cfg())
         assert result.n_configs == 3
-        assert result.algorithm == "moq-linear"
+        assert result.config.algorithm_label == "moq-linear"
         assert [run.seed for run in result.runs] == [1, 2]
         run = result.runs[0]
         assert [t for t, _ in run.archives] == [1000, 2000, 3000]
@@ -187,7 +187,7 @@ class TestRunSweep:
             env_id="dst-concave", algo="pql", total_timesteps=5_000, seeds=(4,), workers=1
         )
         result = run_sweep(cfg)
-        assert result.algorithm == "pql"
+        assert result.config.algorithm_label == "pql"
         assert result.n_configs == 1
         assert result.runs[0].records[-1].hypervolume > 0.0
 
@@ -225,6 +225,9 @@ class TestRunSweep:
         for seeds in [(None,), (1.0,), ("42",), (True,)]:
             with pytest.raises(TypeError, match="seeds must be ints"):
                 SweepConfig(env_id="dst-concave", seeds=seeds)
+        for seeds, named in [((42, 42), "42"), ((1, 2, 3, 2), "2"), ((5, 6, 5, 6), "5, 6")]:
+            with pytest.raises(ValueError, match=f"seeds must be distinct, got {named} more than once"):
+                SweepConfig(env_id="dst-concave", seeds=seeds)
 
     def test_single_run_config(self):
         cfg = replace(_tiny_cfg(), fixed_weights=((1.0, 0.0),), seeds=(42,), workers=1)
@@ -259,6 +262,31 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=match) as info:
             run_sweep(_tiny_cfg(**settings))
         assert not hasattr(info.value, "__notes__")
+
+
+class TestPresets:
+    def test_every_environment_has_presets(self):
+        assert sorted(ENV_PRESETS) == sorted(ENV_IDS)
+
+    @pytest.mark.parametrize("env_id", ENV_IDS)
+    def test_unset_settings_take_the_presets(self, env_id):
+        cfg = SweepConfig(env_id=env_id)
+        assert {key: getattr(cfg, key) for key in ENV_PRESETS[env_id]} == ENV_PRESETS[env_id]
+
+    def test_four_room_values(self):
+        cfg = SweepConfig(env_id="four-room")
+        assert (cfg.gamma, cfg.tau, cfg.total_timesteps) == (0.99, 6.0, 800_000)
+
+    @pytest.mark.parametrize("env_id", ENV_IDS)
+    def test_explicit_values_win(self, env_id):
+        cfg = SweepConfig(env_id=env_id, gamma=0.5, tau=0.0, total_timesteps=0)
+        assert (cfg.gamma, cfg.tau, cfg.total_timesteps) == (0.5, 0.0, 0)
+        cfg = SweepConfig(env_id=env_id, tau=1.5)
+        assert (cfg.gamma, cfg.tau) == (ENV_PRESETS[env_id]["gamma"], 1.5)
+
+    def test_unknown_environment_rejected(self):
+        with pytest.raises(ValueError, match="unknown environment 'bogus'"):
+            SweepConfig(env_id="bogus")
 
 
 class TestFailingWorkItem:
