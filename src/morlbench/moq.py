@@ -18,13 +18,16 @@ bootstrap fold the row into the tracker, while evaluation
 and leaves the tracker as it is. The agent keeps the set of states whose
 current row lies at or below the tracker's ``best``, the folded states: a
 fold or an evaluation that finds nothing to fold adds its state, and an
-update removes the state it wrote. Since ``best`` only rises, folding a
-member's row again changes nothing, so no path folds it or asks
-:meth:`~morlbench.scalarise.UtopianTracker.z_with` about it. The scores are
-kept per state and equal :func:`~morlbench.scalarise.action_scores` of the
-current row bit for bit: an update rewrites its one entry with the same
-expression, against the current ``z`` under Chebyshev, and a rise of the
-utopian point drops all the scores.
+update removes the state it wrote only when the written Q-vector holds a
+value above ``best``. Since ``best`` only rises and a write changes one
+Q-vector, a member's row stays at or below ``best`` exactly when that
+vector does, and folding it again changes nothing, so no path folds it or
+asks :meth:`~morlbench.scalarise.UtopianTracker.z_with` about it. The
+scores are kept per state and equal
+:func:`~morlbench.scalarise.action_scores` of the current row bit for bit:
+an update rewrites its one entry with the same expression, against the
+current ``z`` under Chebyshev, and a rise of the utopian point drops all
+the scores.
 
 Run many instances under different weight vectors (see
 :mod:`morlbench.sweep`) to approximate a Pareto front outer-loop style.
@@ -32,12 +35,17 @@ Run many instances under different weight vectors (see
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
-from operator import mul, sub
+from operator import gt, mul, sub
 
-from .scalarise import SCALARISERS, UtopianTracker, action_scores, best_index, check_weights
+from .scalarise import SCALARISERS, UtopianTracker, action_scores, best_index, check_tau, check_weights
+
+
+def check_rate(name: str, value: float) -> None:
+    """Refuse a step size, discount or fraction outside (0, 1]."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +59,7 @@ class EpsilonSchedule:
     def __post_init__(self):
         if not 0.0 <= self.eps_final <= self.eps_initial <= 1.0:
             raise ValueError(f"need 0 <= eps_final <= eps_initial <= 1, got {self}")
-        if not 0.0 < self.decay_fraction <= 1.0:
-            raise ValueError(f"decay_fraction must be in (0, 1], got {self.decay_fraction}")
+        check_rate("decay_fraction", self.decay_fraction)
 
 
 @dataclass(frozen=True)
@@ -68,12 +75,9 @@ class MoqConfig:
     def __post_init__(self):
         if self.scalariser not in SCALARISERS:
             raise ValueError(f"unknown scalariser {self.scalariser!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if not 0.0 <= self.tau < math.inf:
-            raise ValueError(f"tau must be >= 0 and finite, got {self.tau}")
+        check_rate("alpha", self.alpha)
+        check_rate("gamma", self.gamma)
+        check_tau(self.tau)
         if self.total_timesteps < 0:
             raise ValueError("total_timesteps must be >= 0")
         object.__setattr__(self, "weights", check_weights(self.weights))
@@ -148,9 +152,12 @@ class MoqAgent:
         return best_index(self._scores_of(state), rng)
 
     def greedy(self, state: int, rng: random.Random | None = None) -> int:
-        """Pure greedy choice for evaluation; leaves agent state untouched
-        apart from the tie-break draws on ``rng``. With ``rng=None`` it
-        takes the first tied action and draws nothing. Under Chebyshev a
+        """Pure greedy choice for evaluation: it changes no Q-value,
+        ``best`` or ``z`` and draws tie-breaks only from ``rng``, but it
+        fills the agent's caches as acting would: a state without a row
+        gets a zero row, and a row scored against the current ``z`` (any
+        row under linear) keeps its scores. With ``rng=None`` it takes the
+        first tied action and draws nothing. Under Chebyshev a
         row holding a value above the tracker's best is scored against the
         ``z`` that :meth:`act` would fold it into, and neither that ``z``
         nor those scores are kept. A folded state's row holds no such
@@ -171,9 +178,9 @@ class MoqAgent:
         A non-terminal update bootstraps on the next state's greedy action;
         like :meth:`act`, it first folds the next state's Q-row into the
         utopian tracker (Chebyshev only), so the row it scores never holds
-        a value above ``z``. The written state then leaves the folded set,
-        since its new value may lie above ``best``, and its stored score
-        for ``action`` is rewritten against the current ``z``."""
+        a value above ``z``. The written state then leaves the folded set
+        if its new Q-vector holds a value above ``best``, and its stored
+        score for ``action`` is rewritten against the current ``z``."""
         q = self.qtable.row(state)[action]
         alpha = self.config.alpha
         if terminated:
@@ -188,7 +195,8 @@ class MoqAgent:
             for o, r_o in enumerate(reward):
                 q[o] += alpha * (r_o + gamma * q_next[o] - q[o])
         if self._chebyshev:
-            self._folded.discard(state)
+            if any(map(gt, q, self.utopian.best)):
+                self._folded.discard(state)
             scores = self._scores.get(state)
             if scores is not None:
                 scores[action] = -max(map(mul, self.weights, map(abs, map(sub, q, self.utopian.z))))

@@ -48,7 +48,7 @@ import random
 from dataclasses import dataclass, field
 
 from .envs import REFERENCE_POINTS
-from .moq import EpsilonSchedule, derive_streams, train_loop
+from .moq import EpsilonSchedule, check_rate, derive_streams, train_loop
 from .pareto import ParetoArchive, Point, dominates, hypervolume, nondominated_points
 from .scalarise import best_index
 
@@ -81,8 +81,7 @@ class PqlConfig:
     state_cap: int = 200_000
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        check_rate("gamma", self.gamma)
         if self.set_eval not in SET_EVAL_MODES:
             raise ValueError(f"unknown set evaluation {self.set_eval!r}")
         if self.total_timesteps < 0:

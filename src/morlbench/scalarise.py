@@ -37,6 +37,12 @@ def check_weights(weights: Sequence[float], dimension: int | None = None) -> tup
     return w
 
 
+def check_tau(tau: float) -> None:
+    """Refuse a utopian offset ``tau`` that is negative or not finite."""
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be >= 0 and finite, got {tau}")
+
+
 def action_scores(
     mode: str,
     qrow: Sequence[Sequence[float]],
@@ -87,8 +93,7 @@ class UtopianTracker:
     __slots__ = ("best", "tau", "z")
 
     def __init__(self, dimension: int, tau: float):
-        if not 0.0 <= tau < math.inf:
-            raise ValueError(f"tau must be >= 0 and finite, got {tau}")
+        check_tau(tau)
         self.best = [-math.inf] * dimension
         self.tau = tau
         self.z = tuple(b + tau for b in self.best)

@@ -30,7 +30,7 @@ from pathlib import PurePath
 
 from . import moq, pql
 from .envs import ENV_PRESETS, REFERENCE_POINTS, DeepSeaTreasure, make_env
-from .moq import EpsilonSchedule, MoqConfig
+from .moq import EpsilonSchedule, MoqConfig, check_rate
 from .pareto import (
     ParetoArchive,
     Point,
@@ -41,7 +41,7 @@ from .pareto import (
     sparsity,
 )
 from .pql import PqlConfig
-from .scalarise import check_weights
+from .scalarise import check_tau, check_weights
 
 ALGOS = ("moq", "pql")
 # Settings, by CLI name, that each algorithm never reads; the CLI refuses them.
@@ -86,6 +86,10 @@ class SweepConfig:
                 object.__setattr__(self, key, value)
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
+        # checked for every algorithm, since the manifest records them all
+        check_rate("alpha", self.alpha)
+        check_rate("weight_step", self.weight_step)
+        check_tau(self.tau)
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if not all(isinstance(s, int) and not isinstance(s, bool) for s in self.seeds):
@@ -158,8 +162,7 @@ def weight_grid(num_objectives: int, step: float = 0.1) -> list[tuple[float, ...
     ``step`` must divide 1 evenly (within 1e-9). Two objectives at step 0.1
     give 11 vectors, three give 66.
     """
-    if not 0.0 < step <= 1.0:
-        raise ValueError(f"step must be in (0, 1], got {step}")
+    check_rate("step", step)
     n = round(1.0 / step)
     if abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"step {step} does not divide 1")

@@ -21,7 +21,7 @@ from morlbench.moq import (
 )
 from morlbench.pareto import dominates
 from morlbench.pql import PqlConfig
-from morlbench.scalarise import action_scores
+from morlbench.scalarise import UtopianTracker, action_scores
 from morlbench.sweep import evaluate_policy
 
 DOWN = 1
@@ -365,6 +365,22 @@ class TestScoreCache:
         assert agent.utopian.z == (2.0, 3.0)
 
 
+@st.composite
+def positive_mdps(draw):
+    """Small two-objective MDPs, cycles allowed, whose rewards are positive
+    on both objectives, so writes lift rows above ``best`` on either one."""
+    n_states = draw(st.integers(1, 4))
+    action_count = draw(st.integers(2, 3))
+    reward = st.tuples(*[st.sampled_from([0.25, 1.0, 2.5, 4.0])] * 2)
+    table = {}
+    for s in range(n_states):
+        for a in range(action_count):
+            next_state = draw(st.none() | st.integers(0, n_states - 1))
+            table[(s, a)] = (next_state, draw(reward), next_state is None)
+    return TabularMdp(table, start=0, num_objectives=2, action_count=action_count,
+                      max_episode_steps=draw(st.integers(2, 12)))
+
+
 class TestFoldedStates:
     @pytest.mark.parametrize("env_name, weights, steps", CACHE_CASES)
     def test_folding_a_member_again_leaves_best(self, env_name, weights, steps):
@@ -391,6 +407,107 @@ class TestFoldedStates:
         assert agent.utopian.z == (0.0, 0.0)
         assert agent.act(0, 0.0) == 1
         assert agent.utopian.z == (4.0, 2.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        positive_mdps(),
+        st.sampled_from([0.0, 0.5, 4.0]),
+        st.sampled_from([(0.5, 0.5), (0.9, 0.1), (0.2, 0.8), (1.0, 0.0)]),
+        st.sampled_from([0.1, 0.5, 1.0]),
+        st.integers(0, 2**32),
+    )
+    def test_random_mdps_match_reference(self, mdp, tau, weights, alpha, seed):
+        cfg = MoqConfig(weights=weights, scalariser="chebyshev", alpha=alpha, gamma=0.9, tau=tau,
+                        total_timesteps=300)
+        agent, timeline = train(mdp.fork(), cfg, seed, eval_interval=25)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(moq, "MoqAgent", ReferenceMoqAgent)
+            reference, ref_timeline = train(mdp.fork(), cfg, seed, eval_interval=25)
+        assert [(t, hexes(p)) for t, p in timeline] == [(t, hexes(p)) for t, p in ref_timeline]
+        assert agent.qtable._rows.keys() == reference.rows.keys()
+        for state, row in reference.rows.items():
+            assert [hexes(q) for q in agent.qtable.row(state)] == [hexes(q) for q in row]
+        assert hexes(agent.utopian.best) == hexes(reference.best)
+        assert agent.rng.getstate() == reference.rng.getstate()
+
+    @staticmethod
+    def count_folds(monkeypatch):
+        """Wrap the tracker's ``observe_row``; returns the list of rows it folds."""
+        folded_rows = []
+        observe_row = UtopianTracker.observe_row
+
+        def counting(tracker, qrow):
+            folded_rows.append(qrow)
+            return observe_row(tracker, qrow)
+
+        monkeypatch.setattr(UtopianTracker, "observe_row", counting)
+        return folded_rows
+
+    def test_write_at_or_below_best_keeps_the_state_folded(self, monkeypatch):
+        cfg = MoqConfig(weights=(0.5, 0.5), scalariser="chebyshev", alpha=1.0, tau=0.0)
+        agent = MoqAgent(dummy_env(action_count=2), cfg, random.Random(0))
+        agent.qtable.row(0)[:] = [[3.0, 1.0], [1.0, 3.0]]
+        agent.act(0, 0.0)
+        assert 0 in agent._folded and agent.utopian.best == [3.0, 3.0]
+        agent.update(0, 0, (3.0, 2.0), None, True)
+        assert agent.qtable.row(0)[0] == [3.0, 2.0]
+        assert 0 in agent._folded
+        folds = self.count_folds(monkeypatch)
+        assert agent.act(0, 0.0) == 0
+        assert folds == []
+        assert agent.utopian.best == [3.0, 3.0]
+
+    def test_write_above_best_unfolds_the_state(self, monkeypatch):
+        cfg = MoqConfig(weights=(0.5, 0.5), scalariser="chebyshev", alpha=1.0, tau=0.5)
+        agent = MoqAgent(dummy_env(action_count=2), cfg, random.Random(0))
+        agent.qtable.row(0)[:] = [[3.0, 1.0], [1.0, 3.0]]
+        agent.act(0, 0.0)
+        agent.update(0, 0, (3.0, 3.0), None, True)
+        assert 0 in agent._folded
+        # one component above best but still below z = best + tau
+        agent.update(0, 1, (1.0, 3.25), None, True)
+        assert 0 not in agent._folded
+        folds = self.count_folds(monkeypatch)
+        agent.act(0, 0.0)
+        assert folds == [agent.qtable.row(0)]
+        assert agent.utopian.best == [3.0, 3.25] and 0 in agent._folded
+
+    def test_training_folds_only_unfolded_states(self, monkeypatch):
+        """Over a DST training run, the tracker folds a state's row only
+        on its first fold or after a write lifted a value above ``best``."""
+        agents = []
+
+        class Recording(MoqAgent):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.lifted = set()
+                self.seen = set()
+                agents.append(self)
+
+            def update(self, state, action, reward, next_state, terminated):
+                super().update(state, action, reward, next_state, terminated)
+                if any(v > b for v, b in zip(self.qtable.row(state)[action], self.utopian.best)):
+                    self.lifted.add(state)
+
+        observe_row = UtopianTracker.observe_row
+        calls = 0
+
+        def checked(tracker, qrow):
+            nonlocal calls
+            calls += 1
+            agent = agents[-1]
+            (state,) = [s for s, row in agent.qtable._rows.items() if row is qrow]
+            assert state not in agent._folded
+            assert state not in agent.seen or state in agent.lifted, state
+            agent.seen.add(state)
+            agent.lifted.discard(state)
+            return observe_row(tracker, qrow)
+
+        monkeypatch.setattr(moq, "MoqAgent", Recording)
+        monkeypatch.setattr(UtopianTracker, "observe_row", checked)
+        cfg = MoqConfig(weights=(0.5, 0.5), scalariser="chebyshev", total_timesteps=10_000)
+        train(make_env("dst-concave"), cfg, seed=31, eval_interval=1000)
+        assert len(agents) == 1 and calls > len(agents[0].seen)
 
     def test_greedy_marks_a_row_with_nothing_to_fold(self):
         cfg = MoqConfig(weights=(0.5, 0.5), scalariser="chebyshev", tau=0.0)

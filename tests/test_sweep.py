@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -9,7 +10,9 @@ from helpers import TabularMdp, brute_force_nondominated
 from morlbench import moq, pql
 from morlbench.envs import ENV_IDS, ENV_PRESETS, make_env
 from morlbench.pql import CapacityError
+from morlbench.results import write_sweep
 from morlbench.sweep import (
+    ALGOS,
     MetricRecord,
     SweepConfig,
     aggregate_seeds,
@@ -228,6 +231,36 @@ class TestRunSweep:
         for seeds, named in [((42, 42), "42"), ((1, 2, 3, 2), "2"), ((5, 6, 5, 6), "5, 6")]:
             with pytest.raises(ValueError, match=f"seeds must be distinct, got {named} more than once"):
                 SweepConfig(env_id="dst-concave", seeds=seeds)
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    @pytest.mark.parametrize(
+        "settings, match",
+        [
+            pytest.param({"tau": math.nan}, "tau must be >= 0 and finite, got nan", id="tau-nan"),
+            pytest.param({"tau": -1.0}, "tau must be >= 0 and finite, got -1.0", id="tau-negative"),
+            pytest.param({"tau": math.inf}, "tau must be >= 0 and finite, got inf", id="tau-inf"),
+            pytest.param({"alpha": math.nan}, r"alpha must be in \(0, 1\], got nan", id="alpha-nan"),
+            pytest.param({"alpha": 0.0}, r"alpha must be in \(0, 1\], got 0.0", id="alpha-zero"),
+            pytest.param({"alpha": 1.5}, r"alpha must be in \(0, 1\], got 1.5", id="alpha-above-one"),
+            pytest.param({"weight_step": math.nan}, r"weight_step must be in \(0, 1\], got nan", id="step-nan"),
+            pytest.param({"weight_step": 0.0}, r"weight_step must be in \(0, 1\], got 0.0", id="step-zero"),
+        ],
+    )
+    def test_agent_settings_checked_for_every_algorithm(self, algo, settings, match):
+        with pytest.raises(ValueError, match=match):
+            SweepConfig(env_id="dst-concave", algo=algo, **settings)
+
+    def test_pql_manifest_is_strict_json(self, tmp_path):
+        def refuse(constant):
+            raise ValueError(f"manifest holds {constant}")
+
+        cfg = dict(env_id="dst-concave", algo="pql", total_timesteps=200, eval_interval=100)
+        with pytest.raises(ValueError, match="tau"):
+            write_sweep(run_sweep(SweepConfig(**cfg, tau=math.nan)), tmp_path)
+        assert not any(tmp_path.iterdir())
+        run_dir = write_sweep(run_sweep(SweepConfig(**cfg, tau=0.5)), tmp_path)
+        manifest = json.loads((run_dir / "manifest.json").read_text("utf-8"), parse_constant=refuse)
+        assert manifest["config"]["tau"] == 0.5
 
     def test_single_run_config(self):
         cfg = replace(_tiny_cfg(), fixed_weights=((1.0, 0.0),), seeds=(42,), workers=1)
